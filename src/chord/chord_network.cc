@@ -1,7 +1,6 @@
 #include "chord/chord_network.h"
 
 #include <algorithm>
-#include <cassert>
 #include <utility>
 
 #include "common/bits.h"
@@ -189,20 +188,21 @@ std::vector<uint64_t> ChordNetwork::CoreNeighborIds(uint64_t id) const {
   return out;
 }
 
-ChordNetwork::NextHop ChordNetwork::SelectNextHop(const ChordNode& node,
-                                                  uint64_t current,
-                                                  uint64_t key) const {
-  // Paper's policy: among live table entries between current and the key
-  // (clockwise), pick the one closest to the key. Dead entries are skipped
-  // ("ping before forwarding").
-  NextHop best{current, space_.ClockwiseDistance(current, key),
-               HopEntryKind::kFinger};
+template <typename Usable>
+overlay::RankedHop ChordNetwork::Rank(const ChordNode& node, uint64_t current,
+                                      uint64_t key, bool /*latch*/,
+                                      const Usable& usable) const {
+  // Paper's policy: among usable table entries between current and the
+  // key (clockwise), pick the one closest to the key. With no fault plan
+  // `usable` is liveness ("ping before forwarding").
+  overlay::RankedHop best{current, space_.ClockwiseDistance(current, key),
+                          HopEntryKind::kFinger};
   auto consider = [&](uint64_t w, HopEntryKind kind) {
-    if (w == current || !IsAlive(w)) return;
+    if (w == current || !usable(w, false)) return;
     if (!space_.InClockwiseRangeExclIncl(current, w, key)) return;
-    uint64_t remaining = space_.ClockwiseDistance(w, key);
-    if (remaining < best.best_remaining) {
-      best.best_remaining = remaining;
+    const uint64_t remaining = space_.ClockwiseDistance(w, key);
+    if (remaining < best.remaining) {
+      best.remaining = remaining;
       best.next = w;
       best.kind = kind;
     }
@@ -214,295 +214,20 @@ ChordNetwork::NextHop ChordNetwork::SelectNextHop(const ChordNode& node,
 }
 
 Status ChordNetwork::LookupInto(uint64_t origin, uint64_t key,
-                                RouteResult& out, RouteTrace* trace,
-                                const fault::FaultPlan* faults,
-                                const latency::LatencyModel* latency) const {
-  RouteCursor cursor;
-  if (Status s = BeginRoute(origin, key, cursor, out, trace, faults, latency);
-      !s.ok()) {
-    return s;
-  }
-  while (!cursor.done) StepRoute(cursor, out, trace, faults, latency);
-  return Status::Ok();
-}
-
-Status ChordNetwork::BeginRoute(uint64_t origin, uint64_t key,
-                                RouteCursor& cursor, RouteResult& out,
-                                RouteTrace* trace,
-                                const fault::FaultPlan* faults,
-                                const latency::LatencyModel* latency) const {
-  (void)latency;
-  cursor = RouteCursor{};
-  out.Clear();
-  if (!IsAlive(origin)) return Status::Unavailable("origin not alive");
-  auto truth = ResponsibleNode(key);
-  if (!truth.ok()) return truth.status();
-  cursor.current = origin;
-  cursor.key = key;
-  cursor.truth = truth.value();
-  cursor.resilient = faults != nullptr && faults->enabled();
-  cursor.done = false;
-  if (trace != nullptr) {
-    trace->origin = origin;
-    trace->key = key;
-  }
-  return Status::Ok();
-}
-
-void ChordNetwork::StepRoute(RouteCursor& cursor, RouteResult& out,
-                             RouteTrace* trace,
-                             const fault::FaultPlan* faults,
-                             const latency::LatencyModel* latency) const {
-  if (cursor.done) return;
-  if (cursor.resilient) {
-    assert(faults != nullptr && faults->enabled());
-    StepResilient(cursor, out, trace, *faults, latency);
-    return;
-  }
-
-  const bool timed = latency != nullptr && latency->enabled();
-  auto finish = [&](uint64_t destination, int hops, bool delivered) {
-    out.destination = destination;
-    out.hops = hops;
-    out.success = delivered && destination == cursor.truth;
-    if (trace != nullptr) {
-      trace->destination = out.destination;
-      trace->success = out.success;
-      trace->hops = out.hops;
-      trace->latency_ms = out.latency_ms;
-    }
-    cursor.done = true;
-  };
-
-  const ChordNode* node = GetNode(cursor.current);
-  assert(node != nullptr);
-  const NextHop sel = SelectNextHop(*node, cursor.current, cursor.key);
-  if (sel.next == cursor.current) {
-    // No live entry between here and the key: to this node's knowledge it
-    // is the key's predecessor, so it answers.
-    finish(cursor.current, cursor.hops_taken, /*delivered=*/true);
-    return;
-  }
-  if (sel.kind == HopEntryKind::kAuxiliary) ++out.aux_hops;
-  if (trace != nullptr) {
-    trace->path.push_back({cursor.current, sel.next, sel.kind,
-                           sel.best_remaining});
-  }
-  if (timed) {
-    const double ms = latency->HopLatencyMs(cursor.key, cursor.current,
-                                            sel.next, cursor.hops_taken);
-    out.latency_ms += ms;
-    if (trace != nullptr) trace->path.back().latency_ms = ms;
-  }
-  out.path.push_back(cursor.current);
-  cursor.current = sel.next;
-  ++cursor.hops_taken;
-  if (cursor.hops_taken > params_.max_route_hops) {
-    // Same hop-budget failure the classic loop reports.
-    finish(cursor.current, params_.max_route_hops, /*delivered=*/false);
-  }
-}
-
-Status ChordNetwork::BeginLookup(uint64_t origin, uint64_t key,
-                                 LookupCursor& cursor) const {
-  cursor = LookupCursor{};
-  if (!IsAlive(origin)) return Status::Unavailable("origin not alive");
-  auto truth = ResponsibleNode(key);
-  if (!truth.ok()) return truth.status();
-  cursor.current = origin;
-  cursor.key = key;
-  cursor.truth = truth.value();
-  cursor.node = GetNode(origin);
-  cursor.done = false;
-  return Status::Ok();
-}
-
-void ChordNetwork::StepLookup(LookupCursor& cursor) const {
-  if (cursor.done) return;
-  const NextHop sel = SelectNextHop(*cursor.node, cursor.current, cursor.key);
-  if (sel.next == cursor.current) {
-    cursor.destination = cursor.current;
-    cursor.success = (cursor.current == cursor.truth);
-    cursor.done = true;
-    return;
-  }
-  if (sel.kind == HopEntryKind::kAuxiliary) ++cursor.aux_hops;
-  cursor.current = sel.next;
-  cursor.node = GetNode(sel.next);
-  ++cursor.hops;
-  if (cursor.hops > params_.max_route_hops) {
-    // Same hop-budget failure LookupInto reports.
-    cursor.destination = cursor.current;
-    cursor.hops = params_.max_route_hops;
-    cursor.success = false;
-    cursor.done = true;
-  }
-}
-
-void ChordNetwork::StepResilient(RouteCursor& cursor, RouteResult& out,
-                                 RouteTrace* trace,
-                                 const fault::FaultPlan& faults,
-                                 const latency::LatencyModel* latency) const {
-  const bool timed = latency != nullptr && latency->enabled();
-  auto finish = [&](uint64_t destination, int hops, bool delivered) {
-    out.destination = destination;
-    out.hops = hops;
-    out.success = delivered && destination == cursor.truth;
-    if (trace != nullptr) {
-      trace->destination = out.destination;
-      trace->success = out.success;
-      trace->hops = out.hops;
-      trace->latency_ms = out.latency_ms;
-    }
-    cursor.done = true;
-  };
-
-  // Classic outer-loop guard: a previous visit may have spent the budget.
-  if (cursor.spent > params_.max_route_hops) {
-    out.budget_exhausted = true;
-    finish(cursor.current, params_.max_route_hops, /*delivered=*/false);
-    return;
-  }
-
-  const uint64_t key = cursor.key;
-  const uint64_t current = cursor.current;
-  const ChordNode* node = GetNode(current);
-  assert(node != nullptr);
-  // Per-visit exclusion sets. Entries that turned out dead (fail-stop or
-  // stale) are never retried; drop-excluded entries become eligible again
-  // only when no alternative makes progress (retransmission). These are
-  // visit-local, which is why a resilient route serializes across messages
-  // with nothing but the RouteCursor's plain fields.
-  std::vector<uint64_t> dead_here;
-  std::vector<uint64_t> dropped_here;
-  int retries_here = 0;
-
-  // Per-visit retry loop: select the best non-excluded entry, run it
-  // through the fault gates, and either forward or exclude and retry.
-  while (true) {
-    uint64_t next = current;
-    uint64_t best_remaining = space_.ClockwiseDistance(current, key);
-    HopEntryKind next_kind = HopEntryKind::kFinger;
-    bool next_is_dead = false;
-
-    auto excluded = [](const std::vector<uint64_t>& set, uint64_t w) {
-      return std::find(set.begin(), set.end(), w) != set.end();
-    };
-    auto scan = [&](bool allow_retransmit) {
-      next = current;
-      best_remaining = space_.ClockwiseDistance(current, key);
-      auto consider = [&](uint64_t w, HopEntryKind kind) {
-        if (w == current || excluded(dead_here, w)) return;
-        if (!allow_retransmit && excluded(dropped_here, w)) return;
-        const bool alive = IsAlive(w);
-        // Ping-before-forward still skips known-dead entries — unless
-        // this lookup falls inside the entry's stale window, in which
-        // case the holder believes the ping and forwards into the void.
-        if (!alive && !faults.StaleBelievedAlive(key, current, w)) return;
-        if (!space_.InClockwiseRangeExclIncl(current, w, key)) return;
-        const uint64_t remaining = space_.ClockwiseDistance(w, key);
-        if (remaining < best_remaining) {
-          best_remaining = remaining;
-          next = w;
-          next_kind = kind;
-          next_is_dead = !alive;
-        }
-      };
-      for (uint64_t w : Fingers(*node)) consider(w, HopEntryKind::kFinger);
-      for (uint64_t w : Successors(*node)) {
-        consider(w, HopEntryKind::kSuccessor);
-      }
-      for (uint64_t w : Auxiliaries(*node)) {
-        consider(w, HopEntryKind::kAuxiliary);
-      }
-    };
-    scan(/*allow_retransmit=*/false);
-    if (next == current && !dropped_here.empty()) {
-      scan(/*allow_retransmit=*/true);
-    }
-
-    if (next == current) {
-      // No believed-live entry between here and the key: to this node's
-      // knowledge it is the key's predecessor, so it answers.
-      finish(current, cursor.hops_taken, /*delivered=*/true);
-      return;
-    }
-
-    // Fault gates, in failure-cause order: a dead entry can never
-    // receive, a fail-stopped target is down for this whole lookup, and
-    // an otherwise-healthy forward can still lose its message.
-    bool failed = false;
-    if (next_is_dead) {
-      ++out.stale_forwards;
-      out.dead_evictions.emplace_back(current, next);
-      dead_here.push_back(next);
-      failed = true;
-    } else if (faults.FailStopped(key, next)) {
-      ++out.failstop_skips;
-      dead_here.push_back(next);
-      failed = true;
-    } else if (faults.DropForward(key, current, next, cursor.attempt++)) {
-      ++out.dropped_forwards;
-      dropped_here.push_back(next);
-      failed = true;
-    }
-
-    if (!failed) {
-      if (next_kind == HopEntryKind::kAuxiliary) ++out.aux_hops;
-      if (trace != nullptr) {
-        trace->path.push_back({current, next, next_kind, best_remaining,
-                               /*dropped=*/false,
-                               /*retried=*/retries_here > 0});
-      }
-      if (timed) {
-        const double ms =
-            latency->HopLatencyMs(key, current, next, cursor.spent);
-        out.latency_ms += ms;
-        if (trace != nullptr) trace->path.back().latency_ms = ms;
-      }
-      out.path.push_back(current);
-      cursor.current = next;
-      ++cursor.hops_taken;
-      ++cursor.spent;
-      return;  // next node visit = next StepRoute
-    }
-
-    // Failed attempt: charge budgets, honor the retry policy.
-    ++out.retries;
-    ++retries_here;
-    ++cursor.spent;
-    if (trace != nullptr) {
-      trace->path.push_back({current, next, next_kind, best_remaining,
-                             /*dropped=*/true, /*retried=*/false});
-    }
-    if (timed) {
-      const double ms = latency->FailedAttemptMs();
-      out.latency_ms += ms;
-      if (trace != nullptr) trace->path.back().latency_ms = ms;
-    }
-    if (!faults.config().retry) {
-      finish(current, cursor.hops_taken, /*delivered=*/false);
-      return;
-    }
-    if (retries_here > faults.config().max_retries ||
-        cursor.spent > params_.max_route_hops) {
-      out.budget_exhausted = true;
-      finish(current, cursor.hops_taken, /*delivered=*/false);
-      return;
-    }
-  }
+                                RouteResult& out,
+                                const overlay::RouteOptions& options) const {
+  return overlay::RouteKernel<ChordNetwork>::LookupInto(*this, origin, key,
+                                                        out, options);
 }
 
 Result<RouteResult> ChordNetwork::Lookup(
-    uint64_t origin, uint64_t key, RouteTrace* trace,
-    const fault::FaultPlan* faults,
-    const latency::LatencyModel* latency) const {
-  RouteResult result;
-  if (Status s = LookupInto(origin, key, result, trace, faults, latency);
-      !s.ok()) {
-    return s;
-  }
-  return result;
+    uint64_t origin, uint64_t key, const overlay::RouteOptions& options) const {
+  return overlay::RouteKernel<ChordNetwork>::Lookup(*this, origin, key,
+                                                    options);
 }
 
 }  // namespace peercache::chord
+
+namespace peercache::overlay {
+template class RouteKernel<chord::ChordNetwork>;
+}  // namespace peercache::overlay

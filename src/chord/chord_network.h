@@ -6,14 +6,12 @@
 #include <vector>
 
 #include "auxsel/frequency_table.h"
-#include "common/fault.h"
 #include "common/flat_table_arena.h"
-#include "common/latency.h"
 #include "common/node_store.h"
 #include "common/ring_id.h"
+#include "common/route_kernel.h"
 #include "common/route_result.h"
 #include "common/status.h"
-#include "common/trace.h"
 
 namespace peercache::chord {
 
@@ -152,120 +150,43 @@ class ChordNetwork {
   Result<uint64_t> ResponsibleNode(uint64_t key) const;
 
   /// Routes a lookup for `key` from `origin` over current (possibly stale)
-  /// tables into a caller-owned result. Does not record frequencies;
-  /// callers decide what to observe. `out` is cleared first but keeps its
-  /// path capacity, so a reused RouteResult makes the steady-state lookup
-  /// path allocation-free. When `trace` is non-null the route's per-hop
-  /// records (source, next hop, core-vs-auxiliary entry, ring distance
-  /// remaining) are appended to it; the default null path adds no per-hop
-  /// work beyond one branch.
-  ///
-  /// When `faults` names an enabled fault::FaultPlan the route runs the
-  /// resilient policy instead: every forwarding attempt passes the plan's
-  /// deterministic drop / fail-stop / stale gates, a failed attempt is
-  /// retried against the next-best live entry (bounded per visit by
-  /// max_retries, globally by the hop budget), and failure bookkeeping
-  /// lands in the RouteResult's resilience fields. A null or disabled plan
-  /// takes the historical fault-free path bit-for-bit.
-  ///
-  /// When `latency` names an enabled latency::LatencyModel every delivered
-  /// forward accrues its deterministic hop span (base RTT + jitter) and
-  /// every failed attempt accrues the model's timeout, summed into
-  /// RouteResult::latency_ms and tagged per hop on the trace. A null or
-  /// disabled model leaves every latency field 0 and the route unchanged.
+  /// tables into a caller-owned result through overlay::RouteKernel. Does
+  /// not record frequencies; callers decide what to observe. `out` is
+  /// cleared first but keeps its path capacity, so a reused RouteResult
+  /// makes the steady-state lookup path allocation-free. `options` carries
+  /// the optional trace, fault plan and latency model (see
+  /// overlay::RouteOptions); the default routes fault-free and untraced.
   Status LookupInto(uint64_t origin, uint64_t key, RouteResult& out,
-                    RouteTrace* trace = nullptr,
-                    const fault::FaultPlan* faults = nullptr,
-                    const latency::LatencyModel* latency = nullptr) const;
+                    const overlay::RouteOptions& options = {}) const;
 
   /// By-value convenience form of LookupInto.
-  Result<RouteResult> Lookup(
-      uint64_t origin, uint64_t key, RouteTrace* trace = nullptr,
-      const fault::FaultPlan* faults = nullptr,
-      const latency::LatencyModel* latency = nullptr) const;
+  Result<RouteResult> Lookup(uint64_t origin, uint64_t key,
+                             const overlay::RouteOptions& options = {}) const;
 
-  /// One suspended fault-free lookup for the batched engine. A cursor
-  /// advances one hop per StepLookup using exactly the LookupInto next-hop
-  /// policy (shared helper), so a batch of interleaved cursors produces
-  /// hop-for-hop identical routes to sequential LookupInto calls.
-  struct LookupCursor {
-    uint64_t current = 0;
-    uint64_t key = 0;
-    uint64_t truth = 0;
-    const ChordNode* node = nullptr;  // record of `current`
-    int hops = 0;
-    int aux_hops = 0;
-    bool done = true;
-    bool success = false;
-    uint64_t destination = 0;
-  };
+  /// The kernel's ranking step (overlay::RouteKernel): among entries
+  /// between `current` and the key (clockwise) that pass `usable`, the one
+  /// closest to the key; `next == current` when none makes progress. No
+  /// latch. Defined in chord_network.cc, where the kernel is instantiated.
+  template <typename Usable>
+  overlay::RankedHop Rank(const ChordNode& node, uint64_t current,
+                          uint64_t key, bool latch,
+                          const Usable& usable) const;
 
-  /// Positions `cursor` at `origin`. Fails (cursor stays done) when the
-  /// origin is not alive or the overlay is empty — the same preconditions
-  /// LookupInto enforces.
-  Status BeginLookup(uint64_t origin, uint64_t key, LookupCursor& cursor)
-      const;
-
-  /// Advances one hop; no-op when the cursor is done.
-  void StepLookup(LookupCursor& cursor) const;
-
-  /// Prefetches the current node's record (stage 1 of the pipeline).
-  void PrefetchNode(const LookupCursor& cursor) const {
-    __builtin_prefetch(cursor.node, 0, 1);
-  }
-
-  /// Prefetches the current node's table slices (stage 2; assumes the
-  /// record itself is already cached).
-  void PrefetchTables(const LookupCursor& cursor) const {
+  /// Prefetches `node`'s table slices (the batched engine's second stage;
+  /// assumes the record itself is already cached).
+  void PrefetchTables(const ChordNode& node) const {
     const overlay::FlatTableArena& tables = store_.tables();
-    tables.Prefetch(cursor.node->fingers);
-    tables.Prefetch(cursor.node->successors);
-    tables.Prefetch(cursor.node->auxiliaries);
+    tables.Prefetch(node.fingers);
+    tables.Prefetch(node.successors);
+    tables.Prefetch(node.auxiliaries);
   }
-
-  /// One suspended lookup at node-visit granularity for the message-driven
-  /// runtime (src/net). Unlike LookupCursor this carries no pointers — every
-  /// field is plain data, so an in-flight route can be serialized into a
-  /// LOOKUP_STEP wire message and resumed by the next node's actor. It covers
-  /// both the fault-free and the resilient (FaultPlan) policies; one
-  /// StepRoute call performs exactly one node visit (next-hop selection plus
-  /// the visit-local fault-gated retry loop), which is the boundary at which
-  /// the message-driven runtime hands the lookup to the next actor.
-  struct RouteCursor {
-    uint64_t current = 0;
-    uint64_t key = 0;
-    uint64_t truth = 0;
-    int hops_taken = 0;  ///< successful forwards (delivered path length)
-    int spent = 0;  ///< resilient hop budget: successful + failed attempts
-    int attempt = 0;  ///< resilient retransmission-decorrelation counter
-    bool resilient = false;
-    bool done = true;
-  };
-
-  /// Starts a route at `origin`: clears `out`, resolves ground truth, and
-  /// seeds the trace header. On failure the cursor stays done — the same
-  /// preconditions and status codes as LookupInto.
-  Status BeginRoute(uint64_t origin, uint64_t key, RouteCursor& cursor,
-                    RouteResult& out, RouteTrace* trace = nullptr,
-                    const fault::FaultPlan* faults = nullptr,
-                    const latency::LatencyModel* latency = nullptr) const;
-
-  /// Performs one node visit, accumulating hops, path, trace records,
-  /// latency spans, and resilience counters into `out`. LookupInto is
-  /// implemented as BeginRoute + StepRoute-until-done, so the stepwise
-  /// route is byte-for-byte the direct one. Pass the same `faults` /
-  /// `latency` used at BeginRoute.
-  void StepRoute(RouteCursor& cursor, RouteResult& out,
-                 RouteTrace* trace = nullptr,
-                 const fault::FaultPlan* faults = nullptr,
-                 const latency::LatencyModel* latency = nullptr) const;
 
   /// One suspended ResponsibleNode search for the batched warmup engine: a
   /// bisection over the sorted live array advanced one probe per step. The
   /// upper bound is unique, so the finished cursor equals ResponsibleNode
   /// exactly; interleaving a window of cursors turns the warmup phase's
   /// dependent-miss binary searches into memory-level parallelism, the
-  /// same trick LookupCursor plays for routes.
+  /// same trick the batched engine plays for routes.
   struct ResponsibleCursor {
     uint64_t key = 0;
     size_t lo = 0;  ///< bisection bounds on the insertion point
@@ -309,23 +230,6 @@ class ChordNetwork {
   std::vector<uint64_t> CoreNeighborIds(uint64_t id) const;
 
  private:
-  /// Best next hop from `current` toward `key` over `node`'s tables —
-  /// the single policy shared by LookupInto and StepLookup. `next ==
-  /// current` means deliver here.
-  struct NextHop {
-    uint64_t next;
-    uint64_t best_remaining;
-    HopEntryKind kind;
-  };
-  NextHop SelectNextHop(const ChordNode& node, uint64_t current,
-                        uint64_t key) const;
-
-  /// One resilient node visit (the fault-gated retry loop of the classic
-  /// LookupResilient body), shared by StepRoute's resilient branch.
-  void StepResilient(RouteCursor& cursor, RouteResult& out, RouteTrace* trace,
-                     const fault::FaultPlan& faults,
-                     const latency::LatencyModel* latency) const;
-
   ChordParams params_;
   IdSpace space_;
   overlay::NodeStore<ChordNode> store_;  // all nodes ever seen (alive + dead)
@@ -333,5 +237,9 @@ class ChordNetwork {
 };
 
 }  // namespace peercache::chord
+
+namespace peercache::overlay {
+extern template class RouteKernel<chord::ChordNetwork>;
+}  // namespace peercache::overlay
 
 #endif  // PEERCACHE_CHORD_CHORD_NETWORK_H_

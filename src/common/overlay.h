@@ -6,13 +6,11 @@
 #include <span>
 #include <vector>
 
-#include "common/fault.h"
 #include "common/flat_table_arena.h"
-#include "common/latency.h"
 #include "common/ring_id.h"
+#include "common/route_kernel.h"
 #include "common/route_result.h"
 #include "common/status.h"
-#include "common/trace.h"
 
 namespace peercache::overlay {
 
@@ -38,10 +36,10 @@ concept OverlayNode = requires(N& node, const N& cnode, uint64_t peer) {
 ///     StabilizeAll over a circular IdSpace;
 ///   * god's-eye ground truth — ResponsibleNode;
 ///   * routing — LookupInto writes into a caller-owned RouteResult (the
-///     zero-allocation hot path) with optional per-hop tracing and an
-///     optional fault::FaultPlan that switches the route onto the
-///     retry-capable resilient policy; Lookup is the by-value convenience
-///     form;
+///     zero-allocation hot path) under defaultable RouteOptions (trace,
+///     fault plan, latency model); Lookup is the by-value convenience
+///     form. Both run overlay::RouteKernel (common/route_kernel.h), for
+///     which the backend supplies only `Rank` and `PrefetchTables`;
 ///   * auxiliary plumbing — SetAuxiliaries installs the selection result,
 ///     CoreNeighborIds exposes N_s for the selectors, AuxiliarySpan reads
 ///     the installed list and EraseAuxiliary evicts one stale entry;
@@ -56,8 +54,7 @@ template <typename N>
 concept Overlay = OverlayNode<typename N::NodeType> &&
     requires(N& net, const N& cnet, uint64_t id, std::vector<uint64_t> aux,
              const std::vector<uint64_t>& ids, RouteResult& out,
-             RouteTrace* trace, const fault::FaultPlan* faults,
-             const latency::LatencyModel* latency) {
+             const RouteOptions& options) {
   { cnet.space() } -> std::convertible_to<const IdSpace&>;
   // The engine and the invariant harness read these two protocol knobs off
   // every backend's parameter struct; the first two concept instantiations
@@ -73,18 +70,8 @@ concept Overlay = OverlayNode<typename N::NodeType> &&
   { net.GetNode(id) } -> std::same_as<typename N::NodeType*>;
   { cnet.GetNode(id) } -> std::same_as<const typename N::NodeType*>;
   { cnet.ResponsibleNode(id) } -> std::same_as<Result<uint64_t>>;
-  // Callers rely on the trace/fault arguments being defaultable — require
-  // the short forms too, not only the fully-spelled ones.
-  { cnet.LookupInto(id, id, out) } -> std::same_as<Status>;
-  { cnet.LookupInto(id, id, out, trace) } -> std::same_as<Status>;
-  { cnet.LookupInto(id, id, out, trace, faults) } -> std::same_as<Status>;
-  { cnet.LookupInto(id, id, out, trace, faults, latency) } ->
-      std::same_as<Status>;
-  { cnet.Lookup(id, id) } -> std::same_as<Result<RouteResult>>;
-  { cnet.Lookup(id, id, trace) } -> std::same_as<Result<RouteResult>>;
-  { cnet.Lookup(id, id, trace, faults) } -> std::same_as<Result<RouteResult>>;
-  { cnet.Lookup(id, id, trace, faults, latency) } ->
-      std::same_as<Result<RouteResult>>;
+  { cnet.LookupInto(id, id, out, options) } -> std::same_as<Status>;
+  { cnet.Lookup(id, id, options) } -> std::same_as<Result<RouteResult>>;
   { net.StabilizeNode(id) } -> std::same_as<Status>;
   { net.StabilizeAll() };
   { net.SetAuxiliaries(id, std::move(aux)) } -> std::same_as<Status>;

@@ -7,26 +7,27 @@
 #include <vector>
 
 #include "common/random.h"
+#include "common/route_kernel.h"
+#include "common/route_result.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 
 /// Batched lookup engine: interleaves a window of W in-flight lookups over
-/// one overlay, stepping each suspended route (Network::LookupCursor) one
-/// hop per pass and prefetching the next hop's node record and table slice
-/// while the other W-1 routes execute. A single lookup chases pointers
-/// through a multi-gigabyte table arena at million-node scale — every hop
-/// is a dependent cache miss — but the W routes are independent, so the
-/// interleaving converts route-latency-bound execution into memory-level
-/// parallelism without touching LookupInto's single-lookup semantics
-/// (traces, faults, latency models all stay on the unbatched path).
+/// one overlay, advancing each suspended route (overlay::RouteCursor) one
+/// node visit per pass and prefetching the next hop's node record and table
+/// slices while the other W-1 routes execute. A single lookup chases
+/// pointers through a multi-gigabyte table arena at million-node scale —
+/// every hop is a dependent cache miss — but the W routes are independent,
+/// so the interleaving converts route-latency-bound execution into
+/// memory-level parallelism. Each visit is overlay::RouteKernel's, the one
+/// LookupInto runs, so a batched route is the single route by construction
+/// (untraced, fault-free, untimed).
 ///
 /// Determinism: each job's outcome is written to its own index-addressed
-/// slot and depends only on (origin, key, overlay state) — the cursor
-/// replays LookupInto's exact next-hop policy via the shared selection
-/// helpers — so results are independent of the window size, the
-/// interleaving, and the thread count. Checksums are folded serially in
-/// job order afterwards (FoldChecksum), matching bench/lookup_throughput's
-/// per-lookup fold bit for bit.
+/// slot and depends only on (origin, key, overlay state), so results are
+/// independent of the window size, the interleaving, and the thread count.
+/// Checksums are folded serially in job order afterwards (FoldChecksum),
+/// matching bench/lookup_throughput's per-lookup fold bit for bit.
 namespace peercache::experiments {
 
 /// One lookup to route: `origin` must name a node (dead origins fail the
@@ -36,10 +37,10 @@ struct LookupJob {
   uint64_t key = 0;
 };
 
-/// Outcome of one batched lookup. `ok` is false when BeginLookup failed
-/// (dead origin / empty overlay); such jobs carry zeroed route fields and
-/// are skipped by FoldChecksum, exactly as the unbatched measurement loops
-/// skip failed LookupInto calls.
+/// Outcome of one batched lookup. `ok` is false when the route could not
+/// begin (dead origin / empty overlay); such jobs carry zeroed route fields
+/// and are skipped by FoldChecksum, exactly as the unbatched measurement
+/// loops skip failed LookupInto calls.
 struct BatchLookupResult {
   uint64_t destination = 0;
   int hops = 0;
@@ -81,22 +82,26 @@ inline BatchSummary FoldChecksum(std::span<const BatchLookupResult> results) {
 template <typename Network>
 void RunBatchedLookups(const Network& net, std::span<const LookupJob> jobs,
                        int window, std::span<BatchLookupResult> results) {
-  using Cursor = typename Network::LookupCursor;
+  using Kernel = overlay::RouteKernel<Network>;
+  using Node = typename Network::NodeType;
   if (jobs.empty()) return;
   const size_t w =
       window < 1 ? 1 : std::min<size_t>(jobs.size(),
                                         static_cast<size_t>(window));
-  std::vector<Cursor> slots(w);
+  std::vector<overlay::RouteCursor> slots(w);
+  std::vector<overlay::RouteResult> routes(w);
   std::vector<size_t> slot_job(w, 0);
 
   size_t next = 0;  // next unstarted job
-  // Starts jobs into slot i until one survives BeginLookup (failed jobs
-  // are recorded immediately). Returns false when the job list is dry.
+  // Starts jobs into slot i until one begins (failed jobs are recorded
+  // immediately). Returns false when the job list is dry.
   auto refill = [&](size_t i) {
     while (next < jobs.size()) {
       const size_t j = next++;
       results[j] = BatchLookupResult{};
-      if (net.BeginLookup(jobs[j].origin, jobs[j].key, slots[i]).ok()) {
+      if (Kernel::Begin(net, jobs[j].origin, jobs[j].key, slots[i], routes[i],
+                        nullptr)
+              .ok()) {
         slot_job[i] = j;
         return true;
       }
@@ -110,20 +115,22 @@ void RunBatchedLookups(const Network& net, std::span<const LookupJob> jobs,
   }
   while (in_flight > 0) {
     for (size_t i = 0; i < w; ++i) {
-      Cursor& c = slots[i];
+      overlay::RouteCursor& c = slots[i];
       if (!c.done) {
-        net.StepLookup(c);
+        Kernel::Visit(net, c, routes[i], {});
         if (!c.done) {
-          // Stage 1: pull the just-selected node record toward the cache;
-          // its table slice is prefetched half a window later (below), by
+          // Stage 1: pull the next node's record toward the cache; its
+          // table slices are prefetched half a window later (below), by
           // which time the record — holding the slice offsets — is warm.
-          net.PrefetchNode(c);
+          c.node = net.GetNode(c.current);
+          __builtin_prefetch(c.node, 0, 1);
         } else {
+          const overlay::RouteResult& route = routes[i];
           BatchLookupResult& r = results[slot_job[i]];
-          r.destination = c.destination;
-          r.hops = c.hops;
-          r.aux_hops = c.aux_hops;
-          r.success = c.success;
+          r.destination = route.destination;
+          r.hops = route.hops;
+          r.aux_hops = route.aux_hops;
+          r.success = route.success;
           r.ok = true;
           if (!refill(i)) {
             --in_flight;
@@ -133,8 +140,10 @@ void RunBatchedLookups(const Network& net, std::span<const LookupJob> jobs,
       }
       // Stage 2: table slices for the slot half a window ahead — W/2 steps
       // of other routes hide the miss before that slot is stepped again.
-      Cursor& ahead = slots[(i + w / 2) % w];
-      if (!ahead.done) net.PrefetchTables(ahead);
+      const overlay::RouteCursor& ahead = slots[(i + w / 2) % w];
+      if (!ahead.done) {
+        net.PrefetchTables(*static_cast<const Node*>(ahead.node));
+      }
     }
   }
 }

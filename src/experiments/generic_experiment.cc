@@ -688,9 +688,9 @@ Result<RunResult> RunChurn(const ExperimentConfig& config,
       const bool in_window = eq.now() >= churn.warmup_s;
       const bool trace_this = in_window && obs.ShouldTraceNext();
       RouteTrace trace;
-      Status s = net.LookupInto(origin, key, route,
-                                trace_this ? &trace : nullptr, faults,
-                                latency);
+      Status s = net.LookupInto(
+          origin, key, route,
+          {trace_this ? &trace : nullptr, faults, latency});
       if (s.ok()) {
         // Dead entries discovered the hard way (stale-window forwards) are
         // evicted from the holder's auxiliary list right away — the

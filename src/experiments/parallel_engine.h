@@ -222,9 +222,9 @@ Status ParallelMeasure(ThreadPool& pool, const Network& net,
       const bool trace_this =
           trace_sample_period > 0 && q % trace_sample_period == 0;
       RouteTrace trace;
-      Status s = net.LookupInto(origin, key, route,
-                                trace_this ? &trace : nullptr, faults,
-                                latency);
+      Status s = net.LookupInto(
+          origin, key, route,
+          {trace_this ? &trace : nullptr, faults, latency});
       if (!s.ok()) {
         part.status = s;
         return;

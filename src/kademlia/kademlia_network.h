@@ -6,14 +6,12 @@
 #include <vector>
 
 #include "auxsel/frequency_table.h"
-#include "common/fault.h"
 #include "common/flat_table_arena.h"
-#include "common/latency.h"
 #include "common/node_store.h"
 #include "common/ring_id.h"
+#include "common/route_kernel.h"
 #include "common/route_result.h"
 #include "common/status.h"
-#include "common/trace.h"
 
 namespace peercache::kademlia {
 
@@ -181,95 +179,34 @@ class KademliaNetwork {
   Result<uint64_t> ResponsibleNode(uint64_t key) const;
 
   /// Routes a lookup for `key` from `origin` over current (possibly stale)
-  /// tables into a caller-owned result. Does not record frequencies;
-  /// callers decide what to observe. `out` is cleared first but keeps its
-  /// path capacity, so a reused RouteResult makes the steady-state lookup
-  /// path allocation-free. When `trace` is non-null the route's per-hop
-  /// records (source, next hop, bucket-vs-auxiliary entry, XOR distance
-  /// remaining) are appended to it.
-  ///
-  /// When `faults` names an enabled fault::FaultPlan the route runs the
-  /// resilient policy instead: every forwarding attempt passes the plan's
-  /// deterministic drop / fail-stop / stale gates, a failed attempt is
-  /// retried against the next-best live entry (bounded per visit by
-  /// max_retries, globally by the hop budget), and failure bookkeeping
-  /// lands in the RouteResult's resilience fields. A null or disabled plan
-  /// takes the fault-free path bit-for-bit.
-  ///
-  /// When `latency` names an enabled latency::LatencyModel every delivered
-  /// forward accrues its deterministic hop span (base RTT + jitter) and
-  /// every failed attempt accrues the model's timeout, summed into
-  /// RouteResult::latency_ms and tagged per hop on the trace. A null or
-  /// disabled model leaves every latency field 0 and the route unchanged.
+  /// tables into a caller-owned result through overlay::RouteKernel. Does
+  /// not record frequencies; callers decide what to observe. `out` is
+  /// cleared first but keeps its path capacity, so a reused RouteResult
+  /// makes the steady-state lookup path allocation-free. `options` carries
+  /// the optional trace (XOR distance remaining per hop), fault plan and
+  /// latency model (see overlay::RouteOptions).
   Status LookupInto(uint64_t origin, uint64_t key, RouteResult& out,
-                    RouteTrace* trace = nullptr,
-                    const fault::FaultPlan* faults = nullptr,
-                    const latency::LatencyModel* latency = nullptr) const;
+                    const overlay::RouteOptions& options = {}) const;
 
   /// By-value convenience form of LookupInto.
-  Result<RouteResult> Lookup(
-      uint64_t origin, uint64_t key, RouteTrace* trace = nullptr,
-      const fault::FaultPlan* faults = nullptr,
-      const latency::LatencyModel* latency = nullptr) const;
+  Result<RouteResult> Lookup(uint64_t origin, uint64_t key,
+                             const overlay::RouteOptions& options = {}) const;
 
-  /// One suspended fault-free lookup for the batched engine (same next-hop
-  /// policy as LookupInto via a shared helper).
-  struct LookupCursor {
-    uint64_t current = 0;
-    uint64_t key = 0;
-    uint64_t truth = 0;
-    const KademliaNode* node = nullptr;
-    int hops = 0;
-    int aux_hops = 0;
-    bool done = true;
-    bool success = false;
-    uint64_t destination = 0;
-  };
+  /// The kernel's ranking step (overlay::RouteKernel): greedy XOR descent
+  /// over `node`'s usable entries, the one XOR-closest to the key if it is
+  /// strictly closer than `current` (else `next == current`). No latch.
+  /// Defined in kademlia_network.cc, where the kernel is instantiated.
+  template <typename Usable>
+  overlay::RankedHop Rank(const KademliaNode& node, uint64_t current,
+                          uint64_t key, bool latch,
+                          const Usable& usable) const;
 
-  Status BeginLookup(uint64_t origin, uint64_t key, LookupCursor& cursor)
-      const;
-  void StepLookup(LookupCursor& cursor) const;
-
-  void PrefetchNode(const LookupCursor& cursor) const {
-    __builtin_prefetch(cursor.node, 0, 1);
-  }
-  void PrefetchTables(const LookupCursor& cursor) const {
+  /// Prefetches `node`'s table slices (the batched engine's second stage).
+  void PrefetchTables(const KademliaNode& node) const {
     const overlay::FlatTableArena& tables = store_.tables();
-    tables.Prefetch(cursor.node->bucket_entries);
-    tables.Prefetch(cursor.node->auxiliaries);
+    tables.Prefetch(node.bucket_entries);
+    tables.Prefetch(node.auxiliaries);
   }
-
-  /// One suspended lookup at node-visit granularity for the message-driven
-  /// runtime (src/net) — plain data only, so an in-flight route serializes
-  /// into a LOOKUP_STEP wire message and resumes at the next node's actor.
-  /// Covers both the fault-free and the resilient (FaultPlan) policies; one
-  /// StepRoute call performs exactly one node visit. See
-  /// chord::ChordNetwork::RouteCursor for the shared contract.
-  struct RouteCursor {
-    uint64_t current = 0;
-    uint64_t key = 0;
-    uint64_t truth = 0;
-    int hops_taken = 0;  ///< successful forwards (delivered path length)
-    int spent = 0;  ///< resilient hop budget: successful + failed attempts
-    int attempt = 0;  ///< resilient retransmission-decorrelation counter
-    bool resilient = false;
-    bool done = true;
-  };
-
-  /// Starts a route at `origin`: clears `out`, resolves ground truth, and
-  /// seeds the trace header. Same preconditions and statuses as LookupInto.
-  Status BeginRoute(uint64_t origin, uint64_t key, RouteCursor& cursor,
-                    RouteResult& out, RouteTrace* trace = nullptr,
-                    const fault::FaultPlan* faults = nullptr,
-                    const latency::LatencyModel* latency = nullptr) const;
-
-  /// Performs one node visit, accumulating into `out`. LookupInto is
-  /// implemented as BeginRoute + StepRoute-until-done, so the stepwise
-  /// route is byte-for-byte the direct one.
-  void StepRoute(RouteCursor& cursor, RouteResult& out,
-                 RouteTrace* trace = nullptr,
-                 const fault::FaultPlan* faults = nullptr,
-                 const latency::LatencyModel* latency = nullptr) const;
 
   /// Step-wise ground-truth resolution for batched warmup: the same bit
   /// descent as ResponsibleNode over the sorted live array, advanced one
@@ -318,22 +255,6 @@ class KademliaNetwork {
   std::vector<uint64_t> CoreNeighborIds(uint64_t id) const;
 
  private:
-  /// Best next hop (greedy XOR descent) from `current` toward `key` —
-  /// shared by LookupInto and StepLookup. `next == current` means deliver.
-  struct NextHop {
-    uint64_t next;
-    uint64_t best_remaining;
-    HopEntryKind kind;
-  };
-  NextHop SelectNextHop(const KademliaNode& node, uint64_t current,
-                        uint64_t key) const;
-
-  /// One resilient node visit (the fault-gated retry loop of the classic
-  /// LookupResilient body), shared by StepRoute's resilient branch.
-  void StepResilient(RouteCursor& cursor, RouteResult& out, RouteTrace* trace,
-                     const fault::FaultPlan& faults,
-                     const latency::LatencyModel* latency) const;
-
   KademliaParams params_;
   IdSpace space_;
   overlay::NodeStore<KademliaNode> store_;  // all nodes ever seen
@@ -343,5 +264,9 @@ class KademliaNetwork {
 };
 
 }  // namespace peercache::kademlia
+
+namespace peercache::overlay {
+extern template class RouteKernel<kademlia::KademliaNetwork>;
+}  // namespace peercache::overlay
 
 #endif  // PEERCACHE_KADEMLIA_KADEMLIA_NETWORK_H_

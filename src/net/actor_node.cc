@@ -1,9 +1,11 @@
 #include "net/actor_node.h"
 
+#include <algorithm>
 #include <span>
 #include <variant>
 
 #include "chord/chord_network.h"
+#include "common/route_kernel.h"
 #include "common/route_result.h"
 #include "kademlia/kademlia_network.h"
 #include "pastry/pastry_network.h"
@@ -12,8 +14,7 @@ namespace peercache::net {
 
 namespace {
 
-template <typename Cursor>
-WireCursor PackCursor(const Cursor& c) {
+WireCursor PackCursor(const overlay::RouteCursor& c, bool resilient) {
   WireCursor w;
   w.current = c.current;
   w.key = c.key;
@@ -21,27 +22,22 @@ WireCursor PackCursor(const Cursor& c) {
   w.hops_taken = static_cast<uint32_t>(c.hops_taken);
   w.spent = static_cast<uint32_t>(c.spent);
   w.attempt = static_cast<uint32_t>(c.attempt);
-  if (c.resilient) w.flags |= WireCursor::kFlagResilient;
-  if constexpr (requires { c.numeric_mode; }) {
-    if (c.numeric_mode) w.flags |= WireCursor::kFlagNumericMode;
-  }
+  if (resilient) w.flags |= WireCursor::kFlagResilient;
+  if (c.latch) w.flags |= WireCursor::kFlagNumericMode;
   return w;
 }
 
-template <typename Cursor>
-void UnpackCursor(const WireCursor& w, Cursor& c) {
-  c = Cursor{};
+overlay::RouteCursor UnpackCursor(const WireCursor& w) {
+  overlay::RouteCursor c;
   c.current = w.current;
   c.key = w.key;
   c.truth = w.truth;
   c.hops_taken = static_cast<int>(w.hops_taken);
   c.spent = static_cast<int>(w.spent);
   c.attempt = static_cast<int>(w.attempt);
-  c.resilient = (w.flags & WireCursor::kFlagResilient) != 0;
-  if constexpr (requires { c.numeric_mode; }) {
-    c.numeric_mode = (w.flags & WireCursor::kFlagNumericMode) != 0;
-  }
+  c.latch = (w.flags & WireCursor::kFlagNumericMode) != 0;
   c.done = false;  // a STEP only travels while the route is live
+  return c;
 }
 
 }  // namespace
@@ -111,14 +107,20 @@ void ActorHost<Net>::EmitError(uint64_t lookup_id, uint64_t client,
 }
 
 template <typename Net>
-void ActorHost<Net>::StepAndEmit(uint64_t lookup_id, uint64_t client,
-                                 uint64_t origin,
-                                 typename Net::RouteCursor& cursor,
-                                 overlay::RouteResult& result,
-                                 RouteTrace* trace,
-                                 std::vector<Outbound>& out) const {
+bool ActorHost<Net>::resilient() const {
+  return config_.faults != nullptr && config_.faults->enabled();
+}
+
+template <typename Net>
+void ActorHost<Net>::VisitAndEmit(uint64_t lookup_id, uint64_t client,
+                                  uint64_t origin,
+                                  overlay::RouteCursor& cursor,
+                                  overlay::RouteResult& result,
+                                  RouteTrace* trace,
+                                  std::vector<Outbound>& out) const {
   const double before = result.latency_ms;
-  net_->StepRoute(cursor, result, trace, config_.faults, config_.latency);
+  overlay::RouteKernel<Net>::Visit(
+      *net_, cursor, result, {trace, config_.faults, config_.latency});
   // The visit's latency span is the message's transit time — the
   // LatencyModel is the bus's delivery clock. The full sum still travels
   // bit-exact inside the route state, so telemetry never re-accumulates.
@@ -144,7 +146,7 @@ void ActorHost<Net>::StepAndEmit(uint64_t lookup_id, uint64_t client,
     step.lookup_id = lookup_id;
     step.client = client;
     step.origin = origin;
-    step.cursor = PackCursor(cursor);
+    step.cursor = PackCursor(cursor, resilient());
     step.route = PackRouteState(result);
     if (trace != nullptr) {
       step.flags |= LookupStep::kFlagTraced;
@@ -159,30 +161,47 @@ void ActorHost<Net>::StepAndEmit(uint64_t lookup_id, uint64_t client,
 template <typename Net>
 void ActorHost<Net>::StartLookup(const LookupReq& req,
                                  std::vector<Outbound>& out) const {
-  typename Net::RouteCursor cursor;
+  overlay::RouteCursor cursor;
   overlay::RouteResult result;
   RouteTrace trace;
   RouteTrace* tp = req.traced() ? &trace : nullptr;
-  const Status s = net_->BeginRoute(req.origin, req.key, cursor, result, tp,
-                                    config_.faults, config_.latency);
+  const Status s = overlay::RouteKernel<Net>::Begin(*net_, req.origin, req.key,
+                                                    cursor, result, tp);
   if (!s.ok()) {
     EmitError(req.lookup_id, req.client, req.origin, req.key, WireStatusOf(s),
               out);
     return;
   }
-  StepAndEmit(req.lookup_id, req.client, req.origin, cursor, result, tp, out);
+  VisitAndEmit(req.lookup_id, req.client, req.origin, cursor, result, tp, out);
 }
 
 template <typename Net>
 void ActorHost<Net>::ContinueLookup(uint64_t at, const LookupStep& step,
                                     std::vector<Outbound>& out) const {
-  typename Net::RouteCursor cursor;
-  UnpackCursor(step.cursor, cursor);
-  if (cursor.current != at) {
+  overlay::RouteCursor cursor = UnpackCursor(step.cursor);
+  // The cursor must stand at this live node and carry this host's routing
+  // policy, and no counter may exceed what a live route can have spent:
+  // the hop budget plus the one over-budget forward. Anything else is a
+  // frame the kernel must never visit (bounded counters also cannot
+  // overflow inside the visit).
+  const auto* node = net_->GetNode(at);
+  const bool step_resilient =
+      (step.cursor.flags & WireCursor::kFlagResilient) != 0;
+  const WireCursor& w = step.cursor;
+  const WireRouteState& r = step.route;
+  const uint64_t most_spent =
+      static_cast<uint64_t>(net_->params().max_route_hops) + 1;
+  const bool counters_ok =
+      std::max({w.hops_taken, w.spent, w.attempt, r.aux_hops, r.retries,
+                r.dropped_forwards, r.failstop_skips, r.stale_forwards}) <=
+      most_spent;
+  if (cursor.current != at || node == nullptr || !node->alive ||
+      step_resilient != resilient() || !counters_ok) {
     EmitError(step.lookup_id, step.client, step.origin, step.cursor.key,
               LookupWireStatus::kProtocolError, out);
     return;
   }
+  cursor.node = node;
   overlay::RouteResult result;
   UnpackRouteState(step.route, result);
   RouteTrace trace;
@@ -193,8 +212,8 @@ void ActorHost<Net>::ContinueLookup(uint64_t at, const LookupStep& step,
     UnpackHops(step.hops, trace.path);
     tp = &trace;
   }
-  StepAndEmit(step.lookup_id, step.client, step.origin, cursor, result, tp,
-              out);
+  VisitAndEmit(step.lookup_id, step.client, step.origin, cursor, result, tp,
+               out);
 }
 
 template <typename Net>

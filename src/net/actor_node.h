@@ -6,6 +6,7 @@
 
 #include "common/fault.h"
 #include "common/latency.h"
+#include "common/route_kernel.h"
 #include "common/status.h"
 #include "common/trace.h"
 #include "net/bus.h"
@@ -15,11 +16,12 @@ namespace peercache::net {
 
 /// Turns an overlay backend into a set of message-driven actors: every node
 /// of `Net` is one bus mailbox, and a lookup is a chain of wire messages
-/// instead of one LookupInto call. The per-visit routing logic is the
-/// network's own BeginRoute/StepRoute — the actor only suspends the route
-/// at hop boundaries into a LOOKUP_STEP message and resumes it at the next
-/// node, so the message path is byte-for-byte the direct path by
-/// construction (certified by tests/net/actor_differential_test.cc).
+/// instead of one LookupInto call. Each message is one
+/// overlay::RouteKernel visit — the kernel LookupInto runs — and the actor
+/// only suspends the route at hop boundaries into a LOOKUP_STEP message and
+/// resumes it at the next node, so the message path is byte-for-byte the
+/// direct path by construction (smoke-checked by
+/// tests/net/actor_differential_test.cc).
 ///
 /// Concurrency contract: HandleMessage is const and touches only const
 /// views of the overlay, so the bus may dispatch distinct mailboxes on
@@ -42,8 +44,11 @@ class ActorHost {
 
   /// Bus handler for the lookup data plane. Decodes the envelope, performs
   /// one node visit, and emits the follow-up STEP (to the next hop) or DONE
-  /// (to the client). A message addressed to a node the route does not stand
-  /// at yields a DONE with kProtocolError; an undecodable frame is dropped.
+  /// (to the client). A REQ whose origin is not the envelope's destination,
+  /// or a STEP whose cursor does not stand at the destination, names a dead
+  /// or unknown node, carries a resilient flag that disagrees with this
+  /// host's fault plan, or carries a counter past max_route_hops + 1,
+  /// yields a DONE with kProtocolError; an undecodable frame is dropped.
   /// Each outbound message's delay is the latency the visit accrued, which
   /// makes the LatencyModel the bus's delivery clock.
   void HandleMessage(const Envelope& env, std::vector<Outbound>& out) const;
@@ -62,13 +67,15 @@ class ActorHost {
   void StartLookup(const LookupReq& req, std::vector<Outbound>& out) const;
   void ContinueLookup(uint64_t at, const LookupStep& step,
                       std::vector<Outbound>& out) const;
-  /// Runs one StepRoute visit on a live cursor and emits the follow-up
+  /// Runs one kernel visit on a live cursor and emits the follow-up
   /// message, given the route/trace state reconstructed (or created) by the
   /// caller.
-  void StepAndEmit(uint64_t lookup_id, uint64_t client, uint64_t origin,
-                   typename Net::RouteCursor& cursor,
-                   overlay::RouteResult& result, RouteTrace* trace,
-                   std::vector<Outbound>& out) const;
+  void VisitAndEmit(uint64_t lookup_id, uint64_t client, uint64_t origin,
+                    overlay::RouteCursor& cursor, overlay::RouteResult& result,
+                    RouteTrace* trace, std::vector<Outbound>& out) const;
+  /// Whether this host routes under an enabled fault plan; every STEP it
+  /// emits or accepts carries that as its resilient flag.
+  bool resilient() const;
   void EmitError(uint64_t lookup_id, uint64_t client, uint64_t origin,
                  uint64_t key, LookupWireStatus status,
                  std::vector<Outbound>& out) const;
@@ -83,7 +90,7 @@ class ActorHost {
 Status UnpackDone(const LookupDone& done, overlay::RouteResult& result,
                   RouteTrace* trace);
 
-/// Maps a BeginRoute failure status onto the wire status byte.
+/// Maps a RouteKernel::Begin failure status onto the wire status byte.
 LookupWireStatus WireStatusOf(const Status& s);
 
 // Member definitions live in actor_node.cc, which explicitly instantiates

@@ -158,8 +158,10 @@ struct LookupReq {
   friend bool operator==(const LookupReq&, const LookupReq&) = default;
 };
 
-/// The in-flight route cursor — the union of the three overlays'
-/// RouteCursor fields (pastry's numeric-mode latch rides in a flag bit).
+/// The in-flight route cursor — overlay::RouteCursor's plain fields (the
+/// geometry latch, Pastry's numeric mode, rides in a flag bit) plus the
+/// sender's routing policy: kFlagResilient is set exactly when the host
+/// routes under an enabled fault plan.
 struct WireCursor {
   uint64_t current = 0;
   uint64_t key = 0;

@@ -6,15 +6,13 @@
 #include <vector>
 
 #include "auxsel/frequency_table.h"
-#include "common/fault.h"
 #include "common/flat_table_arena.h"
-#include "common/latency.h"
 #include "common/node_store.h"
 #include "common/random.h"
 #include "common/ring_id.h"
+#include "common/route_kernel.h"
 #include "common/route_result.h"
 #include "common/status.h"
-#include "common/trace.h"
 
 namespace peercache::pastry {
 
@@ -163,101 +161,36 @@ class PastryNetwork {
   Result<uint64_t> ResponsibleNode(uint64_t key) const;
 
   /// Routes a lookup from `origin` over current tables into a caller-owned
-  /// result (cleared first, path capacity retained — reuse makes the
-  /// steady-state lookup path allocation-free). When `trace` is non-null,
-  /// per-hop records (source, next hop, entry used, prefix distance
-  /// remaining) are appended; the null path costs one branch.
-  ///
-  /// When `faults` names an enabled fault::FaultPlan the route runs the
-  /// resilient policy: every forwarding attempt (including the final
-  /// leaf-set delivery hop) passes the plan's deterministic drop /
-  /// fail-stop / stale gates, failed attempts are retried against the
-  /// next-best entry under per-visit and global budgets, and failure
-  /// bookkeeping lands in the RouteResult's resilience fields. A null or
-  /// disabled plan takes the historical fault-free path bit-for-bit.
-  ///
-  /// When `latency` names an enabled latency::LatencyModel every delivered
-  /// forward — including R1's final leaf-set delivery hop — accrues its
-  /// deterministic hop span (base RTT + jitter) and every failed attempt
-  /// accrues the model's timeout, summed into RouteResult::latency_ms and
-  /// tagged per hop on the trace. A null or disabled model leaves every
-  /// latency field 0 and the route unchanged.
+  /// result through overlay::RouteKernel (cleared first, path capacity
+  /// retained — reuse makes the steady-state lookup path allocation-free).
+  /// `options` carries the optional trace (prefix digits remaining per
+  /// hop), fault plan and latency model (see overlay::RouteOptions); R1's
+  /// final leaf-set delivery hop is a forwarding attempt like any other.
   Status LookupInto(uint64_t origin, uint64_t key, RouteResult& out,
-                    RouteTrace* trace = nullptr,
-                    const fault::FaultPlan* faults = nullptr,
-                    const latency::LatencyModel* latency = nullptr) const;
+                    const overlay::RouteOptions& options = {}) const;
 
   /// By-value convenience form of LookupInto.
-  Result<RouteResult> Lookup(
-      uint64_t origin, uint64_t key, RouteTrace* trace = nullptr,
-      const fault::FaultPlan* faults = nullptr,
-      const latency::LatencyModel* latency = nullptr) const;
+  Result<RouteResult> Lookup(uint64_t origin, uint64_t key,
+                             const overlay::RouteOptions& options = {}) const;
 
-  /// One suspended fault-free lookup for the batched engine; advances one
-  /// hop per StepLookup with exactly the LookupInto routing rules (shared
-  /// DecideNext helper), including the R1 delivery hop and the numeric-mode
-  /// latch.
-  struct LookupCursor {
-    uint64_t current = 0;
-    uint64_t key = 0;
-    uint64_t truth = 0;
-    const PastryNode* node = nullptr;
-    int hops = 0;
-    int aux_hops = 0;
-    bool numeric_mode = false;
-    bool done = true;
-    bool success = false;
-    uint64_t destination = 0;
-  };
+  /// The kernel's ranking step (overlay::RouteKernel) over `node`'s usable
+  /// entries: exact hit, R1 leaf-set delivery (a `final_hop`, scanned with
+  /// `usable(w, true)`), R2 prefix routing unless `latch` (numeric mode) is
+  /// set, R3 numeric fallback (`sets_latch`). Defined in
+  /// pastry_network.cc, where the kernel is instantiated.
+  template <typename Usable>
+  overlay::RankedHop Rank(const PastryNode& node, uint64_t current,
+                          uint64_t key, bool latch,
+                          const Usable& usable) const;
 
-  Status BeginLookup(uint64_t origin, uint64_t key, LookupCursor& cursor)
-      const;
-  void StepLookup(LookupCursor& cursor) const;
-
-  void PrefetchNode(const LookupCursor& cursor) const {
-    __builtin_prefetch(cursor.node, 0, 1);
-  }
-  void PrefetchTables(const LookupCursor& cursor) const {
+  /// Prefetches `node`'s table slices (the batched engine's second stage).
+  void PrefetchTables(const PastryNode& node) const {
     const overlay::FlatTableArena& tables = store_.tables();
-    tables.Prefetch(cursor.node->routing_rows);
-    tables.Prefetch(cursor.node->leaf_succ);
-    tables.Prefetch(cursor.node->leaf_pred);
-    tables.Prefetch(cursor.node->auxiliaries);
+    tables.Prefetch(node.routing_rows);
+    tables.Prefetch(node.leaf_succ);
+    tables.Prefetch(node.leaf_pred);
+    tables.Prefetch(node.auxiliaries);
   }
-
-  /// One suspended lookup at node-visit granularity for the message-driven
-  /// runtime (src/net) — plain data only, so an in-flight route serializes
-  /// into a LOOKUP_STEP wire message and resumes at the next node's actor.
-  /// Covers both the fault-free and the resilient (FaultPlan) policies,
-  /// including the R1 delivery hop and the numeric-mode latch; one StepRoute
-  /// call performs exactly one node visit. See
-  /// chord::ChordNetwork::RouteCursor for the shared contract.
-  struct RouteCursor {
-    uint64_t current = 0;
-    uint64_t key = 0;
-    uint64_t truth = 0;
-    int hops_taken = 0;  ///< successful forwards (delivered path length)
-    int spent = 0;  ///< resilient hop budget: successful + failed attempts
-    int attempt = 0;  ///< resilient retransmission-decorrelation counter
-    bool numeric_mode = false;  ///< R3 latch (permanent once set)
-    bool resilient = false;
-    bool done = true;
-  };
-
-  /// Starts a route at `origin`: clears `out`, resolves ground truth, and
-  /// seeds the trace header. Same preconditions and statuses as LookupInto.
-  Status BeginRoute(uint64_t origin, uint64_t key, RouteCursor& cursor,
-                    RouteResult& out, RouteTrace* trace = nullptr,
-                    const fault::FaultPlan* faults = nullptr,
-                    const latency::LatencyModel* latency = nullptr) const;
-
-  /// Performs one node visit, accumulating into `out`. LookupInto is
-  /// implemented as BeginRoute + StepRoute-until-done, so the stepwise
-  /// route is byte-for-byte the direct one.
-  void StepRoute(RouteCursor& cursor, RouteResult& out,
-                 RouteTrace* trace = nullptr,
-                 const fault::FaultPlan* faults = nullptr,
-                 const latency::LatencyModel* latency = nullptr) const;
 
   /// Step-wise ground-truth resolution for batched warmup: a lower-bound
   /// bisection over the sorted live array, one probe per step. Identical
@@ -303,29 +236,6 @@ class PastryNetwork {
  private:
   double Proximity(uint64_t a, uint64_t b) const;
 
-  /// One fault-free routing decision at `current` — the single policy
-  /// shared by LookupInto and StepLookup (exact hit, R1 leaf-set delivery,
-  /// R2 prefix, R3 numeric fallback).
-  struct Decision {
-    enum class Action {
-      kDeliverHere,  // this node answers
-      kDeliverAt,    // R1: `next` answers (one final hop)
-      kForward,      // route continues at `next`
-    };
-    Action action = Action::kDeliverHere;
-    uint64_t next = kNoEntry;
-    HopEntryKind kind = HopEntryKind::kRoutingRow;
-    bool enters_numeric = false;  // kForward chosen by R3: latch numeric mode
-  };
-  Decision DecideNext(const PastryNode& node, uint64_t current, uint64_t key,
-                      bool numeric_mode) const;
-
-  /// One resilient node visit (the fault-gated retry loop of the classic
-  /// LookupResilient body), shared by StepRoute's resilient branch.
-  void StepResilient(RouteCursor& cursor, RouteResult& out, RouteTrace* trace,
-                     const fault::FaultPlan& faults,
-                     const latency::LatencyModel* latency) const;
-
   PastryParams params_;
   IdSpace space_;
   Rng coord_rng_;
@@ -334,5 +244,9 @@ class PastryNetwork {
 };
 
 }  // namespace peercache::pastry
+
+namespace peercache::overlay {
+extern template class RouteKernel<pastry::PastryNetwork>;
+}  // namespace peercache::overlay
 
 #endif  // PEERCACHE_PASTRY_PASTRY_NETWORK_H_

@@ -38,6 +38,7 @@
 #include "common/overlay.h"
 #include "common/random.h"
 #include "common/ring_id.h"
+#include "common/route_kernel.h"
 #include "common/route_result.h"
 #include "common/stats.h"
 #include "common/status.h"

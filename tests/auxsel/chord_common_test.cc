@@ -62,7 +62,9 @@ TEST(ChordInstance, PrefixSumsConsistent) {
       for (int l = j + 1; l < nc && l <= inst.n; ++l) {
         EXPECT_FALSE(inst.is_core[static_cast<size_t>(l)]);
       }
-      if (nc <= inst.n) EXPECT_TRUE(inst.is_core[static_cast<size_t>(nc)]);
+      if (nc <= inst.n) {
+        EXPECT_TRUE(inst.is_core[static_cast<size_t>(nc)]);
+      }
     }
   }
 }

@@ -88,7 +88,9 @@ TEST(ChordChurn, PartialStabilizationStillRoutes) {
   }
   int stabilized = 0;
   for (uint64_t id : net.LiveNodeIds()) {
-    if (++stabilized % 2 == 0) ASSERT_TRUE(net.StabilizeNode(id).ok());
+    if (++stabilized % 2 == 0) {
+      ASSERT_TRUE(net.StabilizeNode(id).ok());
+    }
   }
   int successes = 0;
   const int kTrials = 400;
@@ -105,7 +107,9 @@ TEST(ChordChurn, PartialStabilizationStillRoutes) {
 }
 
 TEST(ChordChurn, JoinVisibleOnlyAfterOthersStabilize) {
-  ChordNetwork net{ChordParams{.bits = 16}};
+  ChordParams params;
+  params.bits = 16;
+  ChordNetwork net(params);
   ASSERT_TRUE(net.AddNode(1000).ok());
   ASSERT_TRUE(net.AddNode(30000).ok());
   net.StabilizeAll();
@@ -125,7 +129,9 @@ TEST(ChordChurn, JoinVisibleOnlyAfterOthersStabilize) {
 TEST(ChordChurn, NeverRemoveBelowTwoNodesGuardIsCallersJob) {
   // The network itself allows removing down to one node; routing from the
   // lone survivor must still terminate.
-  ChordNetwork net{ChordParams{.bits = 8}};
+  ChordParams params;
+  params.bits = 8;
+  ChordNetwork net(params);
   ASSERT_TRUE(net.AddNode(1).ok());
   ASSERT_TRUE(net.AddNode(128).ok());
   ASSERT_TRUE(net.RemoveNode(128).ok());

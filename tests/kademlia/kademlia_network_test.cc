@@ -180,7 +180,7 @@ TEST(KademliaNetwork, TraceRecordsStrictXorDescent) {
         ids[static_cast<size_t>(rng.UniformU64(ids.size()))];
     const uint64_t key = rng.UniformU64(uint64_t{1} << 12);
     RouteTrace trace;
-    auto route = net.Lookup(origin, key, &trace);
+    auto route = net.Lookup(origin, key, {.trace = &trace});
     ASSERT_TRUE(route.ok());
     EXPECT_EQ(trace.origin, origin);
     EXPECT_EQ(trace.key, key);
@@ -210,7 +210,7 @@ TEST(KademliaNetwork, AuxiliaryShortcutIsUsedAndCounted) {
   net.StabilizeAll();
   ASSERT_TRUE(net.SetAuxiliaries(0, {0x900}).ok());
   RouteTrace trace;
-  auto route = net.Lookup(0, 0x901, &trace);
+  auto route = net.Lookup(0, 0x901, {.trace = &trace});
   ASSERT_TRUE(route.ok());
   EXPECT_TRUE(route->success);
   EXPECT_EQ(route->destination, 0x900u);

@@ -1,9 +1,10 @@
-// Differential certification of the message-driven runtime: the same lookup
-// issued as a chain of wire messages over the bus must reproduce the direct
+// Differential check of the message-driven runtime: the same lookup issued
+// as a chain of wire messages over the bus must reproduce the direct
 // LookupInto call byte for byte — every RouteResult field (latency compared
 // as a bit pattern), every trace hop, every resilience counter — on all
 // three overlays, with and without fault plans and latency models, at
-// thread pool sizes 1 and 4.
+// thread pool sizes 1 and 4. Both paths run the same routing-kernel visit,
+// so this pins the wire round trip of the cursor and route state.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -140,7 +141,7 @@ std::string CheckDifferential(
     RouteTrace direct_trace;
     const Status direct_status = net.LookupInto(
         lookups[i].first, lookups[i].second, direct,
-        traced ? &direct_trace : nullptr, faults, latency);
+        {traced ? &direct_trace : nullptr, faults, latency});
     overlay::RouteResult via_bus;
     RouteTrace bus_trace;
     const Status bus_status =

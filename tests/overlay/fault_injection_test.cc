@@ -81,13 +81,13 @@ void ExpectOriginDepartedUnavailable(Net& net, uint64_t origin,
                                      uint64_t key) {
   ASSERT_TRUE(net.RemoveNode(origin).ok());
   overlay::RouteResult route;
-  EXPECT_EQ(net.LookupInto(origin, key, route, nullptr, nullptr).code(),
+  EXPECT_EQ(net.LookupInto(origin, key, route).code(),
             StatusCode::kUnavailable);
   fault::FaultConfig cfg;
   cfg.drop_prob = 0.5;
   cfg.seed = 3;
   const fault::FaultPlan plan(cfg);
-  EXPECT_EQ(net.LookupInto(origin, key, route, nullptr, &plan).code(),
+  EXPECT_EQ(net.LookupInto(origin, key, route, {.faults = &plan}).code(),
             StatusCode::kUnavailable);
 }
 
@@ -120,7 +120,7 @@ void ExpectSingleNodeSelfDelivery(Net& net, uint64_t self) {
   for (const fault::FaultPlan* p : {(const fault::FaultPlan*)nullptr, &plan}) {
     for (uint64_t key : {uint64_t{0}, self, uint64_t{0xFFFF}}) {
       overlay::RouteResult route;
-      ASSERT_TRUE(net.LookupInto(self, key, route, nullptr, p).ok());
+      ASSERT_TRUE(net.LookupInto(self, key, route, {.faults = p}).ok());
       EXPECT_TRUE(route.success);
       EXPECT_EQ(route.destination, self);
       EXPECT_EQ(route.hops, 0);
@@ -279,7 +279,7 @@ TEST(FaultResilience, NoRetryAbortsOnFirstFailureAndFullDropExhaustsBudget) {
   cfg.retry = false;
   overlay::RouteResult route;
   const fault::FaultPlan aborting(cfg);
-  ASSERT_TRUE(net.LookupInto(origin, key, route, nullptr, &aborting).ok());
+  ASSERT_TRUE(net.LookupInto(origin, key, route, {.faults = &aborting}).ok());
   EXPECT_FALSE(route.success);
   EXPECT_EQ(route.retries, 1);
   EXPECT_EQ(route.hops, 0);
@@ -287,7 +287,7 @@ TEST(FaultResilience, NoRetryAbortsOnFirstFailureAndFullDropExhaustsBudget) {
 
   cfg.retry = true;  // every attempt still drops: the budget must run out
   const fault::FaultPlan exhausting(cfg);
-  ASSERT_TRUE(net.LookupInto(origin, key, route, nullptr, &exhausting).ok());
+  ASSERT_TRUE(net.LookupInto(origin, key, route, {.faults = &exhausting}).ok());
   EXPECT_FALSE(route.success);
   EXPECT_TRUE(route.budget_exhausted);
   EXPECT_EQ(route.retries, cfg.max_retries + 1);
@@ -327,7 +327,7 @@ TEST(FaultResilience, DeadEvictionReportHealsTheAuxiliaryEntry) {
   overlay::RouteResult route;
   // Key = victim's id: the dead auxiliary is the closest entry and gets
   // probed first.
-  ASSERT_TRUE(net.LookupInto(origin, victim, route, nullptr, &plan).ok());
+  ASSERT_TRUE(net.LookupInto(origin, victim, route, {.faults = &plan}).ok());
   const std::pair<uint64_t, uint64_t> pair{origin, victim};
   ASSERT_NE(std::find(route.dead_evictions.begin(),
                       route.dead_evictions.end(), pair),
@@ -337,7 +337,7 @@ TEST(FaultResilience, DeadEvictionReportHealsTheAuxiliaryEntry) {
   // Apply the eviction the way the churn engine does, then replay: the
   // healed table must not probe the dead entry again.
   net.EraseAuxiliary(origin, victim);
-  ASSERT_TRUE(net.LookupInto(origin, victim, route, nullptr, &plan).ok());
+  ASSERT_TRUE(net.LookupInto(origin, victim, route, {.faults = &plan}).ok());
   EXPECT_EQ(std::find(route.dead_evictions.begin(),
                       route.dead_evictions.end(), pair),
             route.dead_evictions.end());

@@ -15,7 +15,7 @@
 //    budget abort raises budget_exhausted rather than failing silently,
 //  * equivalence — an enabled plan whose gates cannot fire (stale windows
 //    on an all-alive overlay) reproduces the fault-free route bit for bit,
-//    and an all-zero plan takes the fault-free branch outright,
+//    and an all-zero plan routes exactly as no plan at all,
 //  * determinism — replaying a lookup under the same plan is byte-stable.
 //
 // Together with the equivalence suite below this registers 315 randomized
@@ -340,7 +340,7 @@ std::string CheckFaultedLookups(const Net& net, const Scenario& s,
     const uint64_t key = rng.NextU64() & LowBitMask(s.bits);
     overlay::RouteResult route;
     RouteTrace trace;
-    if (Status st = net.LookupInto(origin, key, route, &trace, &plan);
+    if (Status st = net.LookupInto(origin, key, route, {&trace, &plan});
         !st.ok()) {
       return Where("lookup failed", q, origin, key) + ": " + st.ToString();
     }
@@ -351,7 +351,7 @@ std::string CheckFaultedLookups(const Net& net, const Scenario& s,
     }
     overlay::RouteResult again;
     RouteTrace trace_again;
-    if (Status st = net.LookupInto(origin, key, again, &trace_again, &plan);
+    if (Status st = net.LookupInto(origin, key, again, {&trace_again, &plan});
         !st.ok()) {
       return Where("replay failed", q, origin, key) + ": " + st.ToString();
     }
@@ -363,9 +363,9 @@ std::string CheckFaultedLookups(const Net& net, const Scenario& s,
 }
 
 /// Equivalence property body: on an all-alive overlay a plan with only
-/// stale windows enabled routes through the resilient code path but can
-/// never fire a gate, so it must reproduce the fault-free route exactly;
-/// a disabled plan must take the fault-free branch outright.
+/// stale windows enabled runs the kernel's fault gates and stale filter but
+/// can never fire a gate, so it must reproduce the fault-free route
+/// exactly; a disabled plan must route exactly as no plan at all.
 template <typename Net>
 std::string CheckZeroFaultEquivalence(const Net& net, const Scenario& s) {
   fault::FaultConfig armed;
@@ -380,16 +380,16 @@ std::string CheckZeroFaultEquivalence(const Net& net, const Scenario& s) {
     const uint64_t key = rng.NextU64() & LowBitMask(s.bits);
     overlay::RouteResult base, faulted, off;
     RouteTrace base_trace, faulted_trace;
-    if (Status st = net.LookupInto(origin, key, base, &base_trace, nullptr);
+    if (Status st = net.LookupInto(origin, key, base, {.trace = &base_trace});
         !st.ok()) {
       return Where("fault-free lookup failed", q, origin, key);
     }
     if (Status st =
-            net.LookupInto(origin, key, faulted, &faulted_trace, &resilient);
+            net.LookupInto(origin, key, faulted, {&faulted_trace, &resilient});
         !st.ok()) {
       return Where("resilient lookup failed", q, origin, key);
     }
-    if (Status st = net.LookupInto(origin, key, off, nullptr, &disabled);
+    if (Status st = net.LookupInto(origin, key, off, {.faults = &disabled});
         !st.ok()) {
       return Where("disabled-plan lookup failed", q, origin, key);
     }
@@ -505,9 +505,10 @@ TEST(RoutingInvariants, KademliaZeroFaultRouteEqualsFaultFreeRoute) {
 }
 
 // Differential properties for the flat-table refactor and the batched
-// lookup engine (docs/ARCHITECTURE.md §7): the cursor-based batched pass
-// must agree with LookupInto job for job, and the flattened Kademlia
-// buckets must retain exactly the set the naive per-bucket model keeps.
+// lookup engine (docs/ARCHITECTURE.md §7): the batched pass, which drives
+// the same routing-kernel visits as LookupInto, must agree with it job for
+// job, and the flattened Kademlia buckets must retain exactly the set the
+// naive per-bucket model keeps.
 
 /// Batch-vs-single differential body: route a random job list through the
 /// window-16 batched engine and through the LookupInto reference loop, and
@@ -518,7 +519,8 @@ std::string CheckBatchedMatchesSingle(const Net& net, const Scenario& s) {
   const size_t n_jobs = 1 + s.queries * 7;
   std::vector<experiments::LookupJob> jobs(n_jobs);
   for (auto& job : jobs) {
-    // Mostly live origins, occasionally a dead one (BeginLookup refusal).
+    // Mostly live origins, occasionally a dead one (the kernel's Begin
+    // refuses it).
     job.origin = rng.UniformDouble() < 0.9
                      ? s.live[static_cast<size_t>(
                            rng.UniformU64(s.live.size()))]
