@@ -51,9 +51,9 @@ struct ScaleRow {
   uint64_t checksum = 0;       ///< lookup_throughput's job-order fold.
   double predicted_hops = 0;   ///< 0.5 * log2(n), the O(log n) yardstick.
   double hops_vs_predicted = 0;
-  // Memory accounting. table_bytes/arena_bytes are deterministic;
-  // bytes_per_node folds in stdlib-dependent hash-index overhead and is
-  // excluded from golden byte-comparison.
+  // Memory accounting: exact allocated bytes. bytes_per_node is excluded
+  // from golden byte-comparison only because the committed document
+  // predates the flat id→slot index (it recorded the old hash map's bytes).
   double bytes_per_node = 0;
   uint64_t table_bytes = 0;
   uint64_t arena_bytes = 0;

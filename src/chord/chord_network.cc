@@ -194,18 +194,19 @@ overlay::RankedHop ChordNetwork::Rank(const ChordNode& node, uint64_t current,
                                       const Usable& usable) const {
   // Paper's policy: among usable table entries between current and the
   // key (clockwise), pick the one closest to the key. With no fault plan
-  // `usable` is liveness ("ping before forwarding").
+  // `usable` is liveness ("ping before forwarding"). It is a pure function
+  // of the entry, so it runs last, only on an entry that would become the
+  // new best: the argmin is the same as filtering first. `current` itself
+  // never beats the starting bound.
   overlay::RankedHop best{current, space_.ClockwiseDistance(current, key),
                           HopEntryKind::kFinger};
   auto consider = [&](uint64_t w, HopEntryKind kind) {
-    if (w == current || !usable(w, false)) return;
     if (!space_.InClockwiseRangeExclIncl(current, w, key)) return;
     const uint64_t remaining = space_.ClockwiseDistance(w, key);
-    if (remaining < best.remaining) {
-      best.remaining = remaining;
-      best.next = w;
-      best.kind = kind;
-    }
+    if (remaining >= best.remaining || !usable(w, false)) return;
+    best.remaining = remaining;
+    best.next = w;
+    best.kind = kind;
   };
   for (uint64_t w : Fingers(node)) consider(w, HopEntryKind::kFinger);
   for (uint64_t w : Successors(node)) consider(w, HopEntryKind::kSuccessor);

@@ -206,7 +206,7 @@ class FlatTableArena {
 struct StoreMemoryStats {
   double bytes_per_node = 0.0;   // total footprint / node records
   std::size_t node_bytes = 0;    // node-record slabs
-  std::size_t index_bytes = 0;   // alive flags, live arrays, id->slot map
+  std::size_t index_bytes = 0;   // alive flags, live arrays, id->slot index
   std::size_t table_bytes = 0;   // live routing-table words (arena blocks)
   std::size_t arena_bytes = 0;   // arena chunk footprint
 };

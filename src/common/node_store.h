@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <memory>
 #include <new>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -21,26 +20,33 @@ namespace peercache::overlay {
 /// `std::set<uint64_t>` of live ids, so every hot-path membership probe
 /// (one per routing-table entry considered per hop) chased a red-black
 /// tree, and every successor scan walked heap-scattered tree nodes. This
-/// container keeps the data the lookup path actually touches in flat,
-/// id-sorted arrays:
+/// container keeps the data the lookup path actually touches in flat
+/// arrays:
 ///
 ///   * `live_ids_`   — sorted, contiguous live ids: binary searches for
 ///                     responsible-node / successor queries walk one array;
 ///   * `live_slots_` — slot of each live id, parallel to `live_ids_`, so a
 ///                     ring search yields the node without a second lookup;
-///   * `alive_`      — one byte per slot: `IsAlive` is a hash probe plus a
-///                     flat byte load instead of an ordered-set walk;
-///   * `slot_of_`    — id → slot hash index (identity-friendly uint64 keys).
+///   * `alive_`      — one byte per slot;
+///   * `ids_`        — the id of each slot;
+///   * `index_`      — id → slot, open addressing: a power-of-two array of
+///                     slots (kNoSlot = empty cell) at load at most 1/2,
+///                     homed by a multiplicative hash and linearly probed.
+///
+/// `IsAlive` is therefore one probe into `index_`, an id compare against
+/// `ids_` and a byte load from `alive_`. Slots are append-only and never
+/// leave the index, so it has no delete or tombstone path; growth
+/// re-inserts every slot from `ids_`.
 ///
 /// Node records themselves live in fixed-size slabs (kSlabNodes records
-/// each, placement-new constructed): slots are append-only and a slab never
-/// moves, so `Node*` handed out by `Get` stays valid across later
-/// insertions — the stability guarantee the old deque provided, without the
-/// deque's per-block bookkeeping or its small default block size for large
-/// Node types. The store also owns the FlatTableArena that backs the node
-/// records' FlatList routing slices (`tables()`), which keeps one network's
-/// entire routing state in a handful of large allocations and makes
-/// `MemoryUsage()` accounting exact.
+/// each, placement-new constructed): a slab never moves, so `Node*` handed
+/// out by `Get` stays valid across later insertions — the stability
+/// guarantee the old deque provided, without the deque's per-block
+/// bookkeeping or its small default block size for large Node types. The
+/// store also owns the FlatTableArena that backs the node records' FlatList
+/// routing slices (`tables()`), which keeps one network's entire routing
+/// state in a handful of large allocations and makes `MemoryUsage()`
+/// accounting exact.
 ///
 /// Membership changes (churn) are O(live) array edits — rare next to the
 /// millions of lookups they serve; bulk construction goes through
@@ -51,6 +57,9 @@ class NodeStore {
   static constexpr uint32_t kNoSlot = ~uint32_t{0};
   static constexpr uint32_t kSlabShift = 10;
   static constexpr uint32_t kSlabNodes = uint32_t{1} << kSlabShift;
+  /// Odd multiplier of the index hash: an id's home cell in an index of
+  /// 2^b cells is the top b bits of `id * kIndexHashMul`.
+  static constexpr uint64_t kIndexHashMul = 0x9E3779B97F4A7C15ull;
 
   NodeStore() = default;
   NodeStore(const NodeStore&) = delete;
@@ -61,10 +70,11 @@ class NodeStore {
         alive_(std::move(other.alive_)),
         live_ids_(std::move(other.live_ids_)),
         live_slots_(std::move(other.live_slots_)),
-        slot_of_(std::move(other.slot_of_)),
+        ids_(std::move(other.ids_)),
+        index_(std::move(other.index_)),
+        index_shift_(other.index_shift_),
         tables_(std::move(other.tables_)) {
-    other.count_ = 0;
-    other.slabs_.clear();
+    other.Abandon();
   }
   NodeStore& operator=(NodeStore&& other) noexcept {
     if (this != &other) {
@@ -74,10 +84,11 @@ class NodeStore {
       alive_ = std::move(other.alive_);
       live_ids_ = std::move(other.live_ids_);
       live_slots_ = std::move(other.live_slots_);
-      slot_of_ = std::move(other.slot_of_);
+      ids_ = std::move(other.ids_);
+      index_ = std::move(other.index_);
+      index_shift_ = other.index_shift_;
       tables_ = std::move(other.tables_);
-      other.count_ = 0;
-      other.slabs_.clear();
+      other.Abandon();
     }
     return *this;
   }
@@ -88,20 +99,26 @@ class NodeStore {
   const FlatTableArena& tables() const { return tables_; }
 
   /// Pre-sizes every index structure for `n` nodes (slab pointers, liveness
-  /// flags, live arrays, and the id→slot map) so a bulk build performs no
-  /// incremental rehash or reallocation.
+  /// flags, live arrays, slot ids and the id→slot index) so a bulk build
+  /// performs no incremental rehash or reallocation.
   void Reserve(size_t n) {
     slabs_.reserve((n + kSlabNodes - 1) >> kSlabShift);
     alive_.reserve(n);
     live_ids_.reserve(n);
     live_slots_.reserve(n);
-    slot_of_.reserve(n);
+    ids_.reserve(n);
+    if (2 * n > index_.size()) Rehash(2 * n);
   }
 
-  /// Slot of `id`, or kNoSlot when the id has never been added.
+  /// Slot of `id`, or kNoSlot when the id has never been added. Load at
+  /// most 1/2 guarantees the probe run ends at an empty cell.
   uint32_t SlotOf(uint64_t id) const {
-    auto it = slot_of_.find(id);
-    return it == slot_of_.end() ? kNoSlot : it->second;
+    if (index_.empty()) return kNoSlot;
+    const size_t mask = index_.size() - 1;
+    for (size_t cell = Home(id);; cell = (cell + 1) & mask) {
+      const uint32_t slot = index_[cell];
+      if (slot == kNoSlot || ids_[slot] == id) return slot;
+    }
   }
 
   Node* Get(uint64_t id) {
@@ -122,23 +139,20 @@ class NodeStore {
 
   size_t size() const { return count_; }
 
-  /// True iff the id's node exists and is currently alive. One hash probe
-  /// plus one flat byte load — the per-candidate check on the routing hot
-  /// path.
+  /// True iff the id's node exists and is currently alive: one index probe
+  /// plus one flat byte load — the liveness check on the routing hot path.
   bool IsAlive(uint64_t id) const {
-    auto it = slot_of_.find(id);
-    return it != slot_of_.end() && alive_[it->second] != 0;
+    const uint32_t slot = SlotOf(id);
+    return slot != kNoSlot && alive_[slot] != 0;
   }
-
-  /// True iff slot `slot` is currently alive (no hash probe).
-  bool IsAliveSlot(uint32_t slot) const { return alive_[slot] != 0; }
 
   /// Creates the node for `id` if absent (constructed from `args`), else
   /// returns the existing record. Second member is true on insertion.
   template <typename... Args>
   std::pair<Node*, bool> Emplace(uint64_t id, Args&&... args) {
-    auto it = slot_of_.find(id);
-    if (it != slot_of_.end()) return {&at_slot(it->second), false};
+    if (const uint32_t existing = SlotOf(id); existing != kNoSlot) {
+      return {&at_slot(existing), false};
+    }
     const uint32_t slot = count_;
     if ((slot >> kSlabShift) >= slabs_.size()) {
       slabs_.emplace_back(new std::byte[sizeof(Node) * kSlabNodes]);
@@ -147,7 +161,12 @@ class NodeStore {
     ::new (static_cast<void*>(record)) Node(std::forward<Args>(args)...);
     ++count_;
     alive_.push_back(0);
-    slot_of_.emplace(id, slot);
+    ids_.push_back(id);
+    if (2 * ids_.size() > index_.size()) {
+      Rehash(2 * ids_.size());
+    } else {
+      Insert(id, slot);
+    }
     return {record, true};
   }
 
@@ -260,17 +279,16 @@ class NodeStore {
   }
 
   /// Deterministic footprint accounting for the scale-frontier telemetry.
-  /// `node_bytes`/`table_bytes`/`arena_bytes` are exact; `index_bytes`
-  /// estimates the id→slot map at one bucket pointer per bucket plus a
-  /// 24-byte chained entry per element (its layout is stdlib-internal).
+  /// Every field is exact: `index_bytes` is the allocated bytes of the
+  /// liveness flags, the live arrays, the slot ids and the id→slot index.
   StoreMemoryStats MemoryUsage() const {
     StoreMemoryStats s;
     s.node_bytes = slabs_.size() * kSlabNodes * sizeof(Node);
     s.index_bytes = alive_.capacity() * sizeof(uint8_t) +
                     live_ids_.capacity() * sizeof(uint64_t) +
                     live_slots_.capacity() * sizeof(uint32_t) +
-                    slot_of_.bucket_count() * sizeof(void*) +
-                    slot_of_.size() * 24;
+                    ids_.capacity() * sizeof(uint64_t) +
+                    index_.capacity() * sizeof(uint32_t);
     s.table_bytes = tables_.used_bytes();
     s.arena_bytes = tables_.allocated_bytes();
     const size_t total = s.node_bytes + s.index_bytes + s.arena_bytes;
@@ -293,12 +311,53 @@ class NodeStore {
     count_ = 0;
   }
 
+  /// Leaves a moved-from store empty (its records now belong elsewhere).
+  void Abandon() {
+    count_ = 0;
+    slabs_.clear();
+    ids_.clear();
+    index_.clear();
+  }
+
+  size_t Home(uint64_t id) const {
+    return static_cast<size_t>((id * kIndexHashMul) >> index_shift_);
+  }
+
+  /// Claims the first empty cell of `id`'s probe run for `slot`.
+  void Insert(uint64_t id, uint32_t slot) {
+    const size_t mask = index_.size() - 1;
+    size_t cell = Home(id);
+    while (index_[cell] != kNoSlot) cell = (cell + 1) & mask;
+    index_[cell] = slot;
+  }
+
+  /// Regrows the index to the smallest power of two of at least
+  /// max(`min_cells`, kMinIndexCells) cells and re-inserts every slot.
+  void Rehash(size_t min_cells) {
+    size_t cells = kMinIndexCells;
+    int bits = kMinIndexBits;
+    while (cells < min_cells) {
+      cells <<= 1;
+      ++bits;
+    }
+    index_ = std::vector<uint32_t>(cells, kNoSlot);
+    index_shift_ = 64 - bits;
+    for (uint32_t slot = 0; slot < ids_.size(); ++slot) {
+      Insert(ids_[slot], slot);
+    }
+  }
+
+  static constexpr int kMinIndexBits = 4;
+  static constexpr size_t kMinIndexCells = size_t{1} << kMinIndexBits;
+
   std::vector<std::unique_ptr<std::byte[]>> slabs_;  // kSlabNodes records each
   uint32_t count_ = 0;                               // constructed records
   std::vector<uint8_t> alive_;   // slot-indexed liveness flags
   std::vector<uint64_t> live_ids_;    // sorted live ids (contiguous)
   std::vector<uint32_t> live_slots_;  // parallel slots of live_ids_
-  std::unordered_map<uint64_t, uint32_t> slot_of_;
+  std::vector<uint64_t> ids_;         // slot-indexed ids
+  std::vector<uint32_t> index_;       // id -> slot cells, kNoSlot = empty
+  int index_shift_ = 64;              // 64 - log2(index_.size())
   FlatTableArena tables_;  // backing words for the nodes' FlatList slices
 };
 

@@ -344,10 +344,10 @@ void WriteRunResultJson(JsonWriter& w, const RunResult& result) {
     w.EndObject();
   }
   // Memory footprint (config.report_memory only — docs/OBSERVABILITY.md).
-  // Arena mutations are serial, so these bytes are thread-count invariant;
-  // bytes_per_node folds in hash-index overhead, which varies across
-  // standard libraries, so cross-toolchain comparisons should prefer
-  // table_bytes/arena_bytes.
+  // Arena mutations are serial, so these bytes are thread-count invariant.
+  // bytes_per_node also counts vector capacities, whose growth policy
+  // varies across standard libraries, so cross-toolchain comparisons should
+  // prefer table_bytes/arena_bytes.
   if (result.memory_enabled) {
     w.Key("memory");
     w.BeginObject();

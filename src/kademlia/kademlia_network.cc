@@ -305,16 +305,17 @@ overlay::RankedHop KademliaNetwork::Rank(const KademliaNode& node,
                                          const Usable& usable) const {
   // Greedy XOR descent: among usable table entries strictly closer to the
   // key than the current node, pick the closest. With no fault plan
-  // `usable` is liveness ("ping before forwarding").
+  // `usable` is liveness ("ping before forwarding"). It is a pure function
+  // of the entry, so it runs last, only on an entry that would become the
+  // new best: the argmin is the same as filtering first. `current` itself
+  // is never strictly closer than the starting bound.
   overlay::RankedHop best{current, current ^ key, HopEntryKind::kBucket};
   auto consider = [&](uint64_t w, HopEntryKind kind) {
-    if (w == current || !usable(w, false)) return;
     const uint64_t remaining = w ^ key;
-    if (remaining < best.remaining) {
-      best.remaining = remaining;
-      best.next = w;
-      best.kind = kind;
-    }
+    if (remaining >= best.remaining || !usable(w, false)) return;
+    best.remaining = remaining;
+    best.next = w;
+    best.kind = kind;
   };
   for (uint64_t w : BucketEntries(node)) consider(w, HopEntryKind::kBucket);
   for (uint64_t w : Auxiliaries(node)) consider(w, HopEntryKind::kAuxiliary);

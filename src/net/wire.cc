@@ -155,9 +155,11 @@ Status CheckFrame(std::span<const uint8_t> frame, MessageType& type) {
   if (frame.size() < kWireHeaderSize) {
     return Status::InvalidArgument("wire: frame shorter than header");
   }
+  // The size check above guarantees every read succeeds; the fields start
+  // at zero so no path reads them uninitialized.
   ByteReader r(frame.data(), kWireHeaderSize);
-  uint32_t magic, payload_len, checksum;
-  uint16_t version, raw_type;
+  uint32_t magic = 0, payload_len = 0, checksum = 0;
+  uint16_t version = 0, raw_type = 0;
   (void)r.U32(magic);
   (void)r.U16(version);
   (void)r.U16(raw_type);

@@ -1,8 +1,8 @@
 #include "pastry/pastry_network.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "common/bits.h"
@@ -30,11 +30,29 @@ std::vector<uint64_t> PastryNetwork::LiveNodeIds() const {
   return store_.live_ids();
 }
 
-double PastryNetwork::Proximity(uint64_t a, uint64_t b) const {
-  const PastryNode* na = GetNode(a);
-  const PastryNode* nb = GetNode(b);
-  assert(na != nullptr && nb != nullptr);
-  return EuclideanDistance(na->coord, nb->coord);
+overlay::StoreMemoryStats PastryNetwork::MemoryUsage() const {
+  overlay::StoreMemoryStats s = store_.MemoryUsage();
+  // The coordinates are node-record data kept beside the store.
+  const size_t coord_bytes = coords_.capacity() * sizeof(Coord);
+  s.node_bytes += coord_bytes;
+  if (store_.size() != 0) {
+    s.bytes_per_node += static_cast<double>(coord_bytes) /
+                        static_cast<double>(store_.size());
+  }
+  return s;
+}
+
+void PastryNetwork::EmplaceNode(uint64_t id) {
+  auto [node, inserted] =
+      store_.Emplace(id, params_.frequency_capacity, params_.freq_sketch);
+  if (inserted) {
+    // The new slot is store_.size() - 1 == coords_.size().
+    coords_.push_back(
+        Coord{coord_rng_.UniformDouble(), coord_rng_.UniformDouble()});
+  }
+  node->id = id;
+  node->alive = true;
+  store_.tables().Clear(node->auxiliaries);
 }
 
 Status PastryNetwork::AddNode(uint64_t id) {
@@ -42,14 +60,7 @@ Status PastryNetwork::AddNode(uint64_t id) {
   if (store_.IsAlive(id)) {
     return Status::InvalidArgument("live id already used");
   }
-  auto [node, inserted] = store_.Emplace(id, params_.frequency_capacity, params_.freq_sketch);
-  node->id = id;
-  if (inserted) {
-    node->coord = Coord{coord_rng_.UniformDouble(),
-                        coord_rng_.UniformDouble()};
-  }
-  node->alive = true;
-  store_.tables().Clear(node->auxiliaries);
+  EmplaceNode(id);
   store_.MarkAlive(id);
   return StabilizeNode(id);
 }
@@ -64,16 +75,8 @@ Status PastryNetwork::BulkAdd(const std::vector<uint64_t>& ids) {
     }
   }
   store_.Reserve(store_.size() + ids.size());
-  for (uint64_t id : ids) {
-    auto [node, inserted] = store_.Emplace(id, params_.frequency_capacity, params_.freq_sketch);
-    node->id = id;
-    if (inserted) {
-      node->coord = Coord{coord_rng_.UniformDouble(),
-                          coord_rng_.UniformDouble()};
-    }
-    node->alive = true;
-    store_.tables().Clear(node->auxiliaries);
-  }
+  coords_.reserve(store_.size() + ids.size());
+  for (uint64_t id : ids) EmplaceNode(id);
   store_.BulkMarkAlive(ids);
   return Status::Ok();
 }
@@ -99,13 +102,15 @@ Status PastryNetwork::RejoinNode(uint64_t id) {
 }
 
 Status PastryNetwork::StabilizeNode(uint64_t id) {
-  PastryNode* node_ptr = store_.Get(id);
-  if (node_ptr == nullptr || !node_ptr->alive) {
+  const uint32_t self_slot = store_.SlotOf(id);
+  if (self_slot == overlay::NodeStore<PastryNode>::kNoSlot ||
+      !store_.at_slot(self_slot).alive) {
     return Status::NotFound("node not alive");
   }
-  PastryNode& node = *node_ptr;
+  PastryNode& node = store_.at_slot(self_slot);
   overlay::FlatTableArena& tables = store_.tables();
   const std::vector<uint64_t>& live = store_.live_ids();
+  const Coord self = coords_[self_slot];
 
   // Routing rows with proximity neighbor selection (FreePastry's table
   // construction: the underlay-closest candidate per row). Row r's
@@ -114,7 +119,8 @@ Status PastryNetwork::StabilizeNode(uint64_t id) {
   // found with two binary searches instead of a full-membership scan.
   // Scanning the range in ascending id order with a strict `<` keeps the
   // winner identical to the historical scan; a positive stabilize_sample
-  // probes evenly spaced candidates instead (large-n builds).
+  // probes evenly spaced candidates instead (large-n builds). Candidate
+  // live[i]'s coordinates are coords_[live_slot(i)]: no index probe.
   scratch_.assign(static_cast<size_t>(params_.bits), kNoEntry);
   for (int r = 0; r < params_.bits; ++r) {
     const int flip = params_.bits - 1 - r;  // bit position that differs
@@ -125,21 +131,19 @@ Status PastryNetwork::StabilizeNode(uint64_t id) {
     const size_t len = hi - lo;
     uint64_t best = kNoEntry;
     double best_dist = 0.0;
-    auto probe = [&](uint64_t w) {
-      const double d = Proximity(id, w);
+    auto probe = [&](size_t i) {
+      const double d = EuclideanDistance(self, coords_[store_.live_slot(i)]);
       if (best == kNoEntry || d < best_dist) {
-        best = w;
+        best = live[i];
         best_dist = d;
       }
     };
     if (params_.stabilize_sample <= 0 ||
         len <= static_cast<size_t>(params_.stabilize_sample)) {
-      for (size_t i = lo; i < hi; ++i) probe(live[i]);
+      for (size_t i = lo; i < hi; ++i) probe(i);
     } else {
       const size_t sample = static_cast<size_t>(params_.stabilize_sample);
-      for (size_t i = 0; i < sample; ++i) {
-        probe(live[lo + (i * len) / sample]);
-      }
+      for (size_t i = 0; i < sample; ++i) probe(lo + (i * len) / sample);
     }
     scratch_[static_cast<size_t>(r)] = best;
   }
@@ -288,6 +292,10 @@ overlay::RankedHop PastryNetwork::Rank(const PastryNode& node,
   const auto pred = LeafPred(node);
   const auto aux = Auxiliaries(node);
 
+  // `usable` is a pure function of the entry, so every rule below tests
+  // distance or prefix first and calls it last, only on an entry that would
+  // change the outcome: the choices are the same as filtering first.
+  //
   // Rule R1 (leaf-set delivery): if the key falls within the span of this
   // node's usable leaf set, the numerically closest member (or this node)
   // answers directly. This is Pastry's termination rule and guarantees the
@@ -295,28 +303,30 @@ overlay::RankedHop PastryNetwork::Rank(const PastryNode& node,
   // final, so its candidates ignore drop exclusions: settling for the
   // second-closest member after a drop would deliver at the wrong node.
   auto usable_leaf = [&usable](uint64_t w) { return usable(w, true); };
-  uint64_t cw_span = 0, ccw_span = 0;
-  for (uint64_t w : succ) {
-    if (!usable_leaf(w)) continue;
-    cw_span = std::max(cw_span, space_.ClockwiseDistance(current, w));
-  }
-  for (uint64_t w : pred) {
-    if (!usable_leaf(w)) continue;
-    ccw_span = std::max(ccw_span, space_.ClockwiseDistance(w, current));
-  }
-  const bool in_leaf_span =
-      space_.ClockwiseDistance(current, key) <= cw_span ||
-      space_.ClockwiseDistance(key, current) <= ccw_span;
-  if (in_leaf_span) {
+  // A side's span covers the key iff some usable member on it lies at least
+  // as far as the key, or the key lies at distance 0 (an out-of-space key
+  // congruent to this node; exact hits returned above). Only members that
+  // reach the key are probed, from the far end inward.
+  auto side_covers = [&](std::span<const uint64_t> side, bool clockwise) {
+    const uint64_t reach = clockwise ? space_.ClockwiseDistance(current, key)
+                                     : space_.ClockwiseDistance(key, current);
+    if (reach == 0) return true;
+    for (auto it = side.rbegin(); it != side.rend(); ++it) {
+      const uint64_t d = clockwise ? space_.ClockwiseDistance(current, *it)
+                                   : space_.ClockwiseDistance(*it, current);
+      if (d >= reach && usable_leaf(*it)) return true;
+    }
+    return false;
+  };
+  if (side_covers(succ, true) || side_covers(pred, false)) {
     uint64_t closest = current;
     uint64_t closest_dist = ring_distance(current, key);
     auto consider_leaf = [&](uint64_t w) {
-      if (!usable_leaf(w)) return;
       const uint64_t d = ring_distance(w, key);
-      if (d < closest_dist || (d == closest_dist && w < closest)) {
-        closest_dist = d;
-        closest = w;
-      }
+      if (d > closest_dist || (d == closest_dist && w >= closest)) return;
+      if (!usable_leaf(w)) return;
+      closest_dist = d;
+      closest = w;
     };
     for (uint64_t w : succ) consider_leaf(w);
     for (uint64_t w : pred) consider_leaf(w);
@@ -330,24 +340,30 @@ overlay::RankedHop PastryNetwork::Rank(const PastryNode& node,
   // Rule R2 (prefix routing): best strictly-longer prefix match with the
   // key; ties on prefix length break by underlay proximity to the current
   // node (FreePastry's locality-aware choice among equal-progress
-  // candidates). Skipped once the route has latched numeric mode.
+  // candidates). Skipped once the route has latched numeric mode. The
+  // first candidate always has l > best_lcp (== current_lcp), so the tests
+  // below are the "longer prefix, or equal prefix and nearer" rule. An id
+  // the network never held has no coordinates and ranks last on proximity.
   uint64_t next = kNoEntry;
   int best_lcp = current_lcp;
   double best_prox = 0;
   HopEntryKind next_kind = HopEntryKind::kRoutingRow;
   if (!latch) {
+    const Coord here = *CoordOf(current);
     auto consider_prefix = [&](uint64_t w, HopEntryKind kind) {
-      if (w == kNoEntry || w == current || !usable(w, false)) return;
+      if (w == kNoEntry || w == current) return;
       const int l = CommonPrefixLength(w, key, params_.bits);
-      if (l <= current_lcp) return;
-      const double d = Proximity(current, w);
-      if (next == kNoEntry || l > best_lcp ||
-          (l == best_lcp && d < best_prox)) {
-        next = w;
-        best_lcp = l;
-        best_prox = d;
-        next_kind = kind;
-      }
+      if (l <= current_lcp || l < best_lcp) return;
+      const Coord* there = CoordOf(w);
+      const double d = there == nullptr
+                           ? std::numeric_limits<double>::infinity()
+                           : EuclideanDistance(here, *there);
+      if (l == best_lcp && d >= best_prox) return;
+      if (!usable(w, false)) return;
+      next = w;
+      best_lcp = l;
+      best_prox = d;
+      next_kind = kind;
     };
     for (uint64_t w : rows) consider_prefix(w, HopEntryKind::kRoutingRow);
     for (uint64_t w : succ) consider_prefix(w, HopEntryKind::kLeafSet);
@@ -363,13 +379,12 @@ overlay::RankedHop PastryNetwork::Rank(const PastryNode& node,
     numeric = true;
     uint64_t best_dist = ring_distance(current, key);
     auto consider_numeric = [&](uint64_t w, HopEntryKind kind) {
-      if (w == kNoEntry || w == current || !usable(w, false)) return;
+      if (w == kNoEntry || w == current) return;
       const uint64_t d = ring_distance(w, key);
-      if (d < best_dist) {
-        best_dist = d;
-        next = w;
-        next_kind = kind;
-      }
+      if (d >= best_dist || !usable(w, false)) return;
+      best_dist = d;
+      next = w;
+      next_kind = kind;
     };
     for (uint64_t w : rows) consider_numeric(w, HopEntryKind::kRoutingRow);
     for (uint64_t w : succ) consider_numeric(w, HopEntryKind::kLeafSet);

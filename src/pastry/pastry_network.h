@@ -44,7 +44,8 @@ using RouteResult = overlay::RouteResult;
 
 /// Network-proximity coordinates (FreePastry's locality-aware routing picks
 /// the physically closest candidate; we model the underlay as a unit square
-/// with Euclidean distance).
+/// with Euclidean distance). PastryNetwork keeps one per node, indexed by
+/// the node's NodeStore slot.
 struct Coord {
   double x = 0;
   double y = 0;
@@ -57,7 +58,6 @@ struct Coord {
 struct PastryNode {
   uint64_t id = 0;
   bool alive = false;
-  Coord coord;
   /// routing_rows[i]: a node sharing exactly the first i bits with `id`
   /// (and thus differing at bit i), or kNoEntry when row i is empty.
   /// Always exactly params().bits entries once stabilized.
@@ -103,7 +103,8 @@ class PastryNetwork {
   const PastryParams& params() const { return params_; }
   const IdSpace& space() const { return space_; }
 
-  /// Adds a live node (random underlay coordinates) and builds its tables.
+  /// Adds a live node and builds its tables. A new id draws random underlay
+  /// coordinates; a departed id re-added keeps the ones it had.
   Status AddNode(uint64_t id);
 
   /// Bulk join for large builds: inserts every id live (drawing underlay
@@ -122,6 +123,18 @@ class PastryNetwork {
 
   PastryNode* GetNode(uint64_t id) { return store_.Get(id); }
   const PastryNode* GetNode(uint64_t id) const { return store_.Get(id); }
+
+  /// Underlay coordinates of `id` (fixed when the id is first added,
+  /// retained across departures); nullptr if the id was never added.
+  const Coord* CoordOf(uint64_t id) const {
+    const uint32_t slot = store_.SlotOf(id);
+    return slot == overlay::NodeStore<PastryNode>::kNoSlot ? nullptr
+                                                          : &coords_[slot];
+  }
+
+  /// Every node's coordinates, indexed by store slot: one entry per id
+  /// ever added.
+  std::span<const Coord> coords() const { return coords_; }
 
   /// Routing-table views: contiguous arena slices, valid until the next
   /// mutation of the same node's tables.
@@ -151,10 +164,9 @@ class PastryNetwork {
     }
   }
 
-  /// Footprint accounting (node records + indices + routing arena).
-  overlay::StoreMemoryStats MemoryUsage() const {
-    return store_.MemoryUsage();
-  }
+  /// Footprint accounting (node records and their coordinates + indices +
+  /// routing arena).
+  overlay::StoreMemoryStats MemoryUsage() const;
 
   /// Ground truth: numerically closest live node to the key (ring metric;
   /// the lower id wins exact ties). Fails on an empty overlay.
@@ -234,12 +246,15 @@ class PastryNetwork {
   std::vector<uint64_t> CoreNeighborIds(uint64_t id) const;
 
  private:
-  double Proximity(uint64_t a, uint64_t b) const;
+  /// Emplaces `id` as a live record with cleared auxiliaries (not yet in
+  /// the live arrays), drawing its coordinates if the id is new.
+  void EmplaceNode(uint64_t id);
 
   PastryParams params_;
   IdSpace space_;
   Rng coord_rng_;
   overlay::NodeStore<PastryNode> store_;
+  std::vector<Coord> coords_;      // slot-indexed, parallel to store_
   std::vector<uint64_t> scratch_;  // stabilize build buffer (serial)
 };
 

@@ -1,9 +1,14 @@
 #include "common/node_store.h"
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "test_util.h"
 
 namespace peercache::overlay {
 namespace {
@@ -139,6 +144,7 @@ TEST(NodeStore, MemoryUsageAccountsSlabsIndexAndArena) {
   EXPECT_EQ(empty.node_bytes, 0u);
   EXPECT_EQ(empty.bytes_per_node, 0.0);
 
+  store.Reserve(10);
   for (uint64_t id = 0; id < 10; ++id) {
     auto [node, inserted] = store.Emplace(id, 0);
     (void)node;
@@ -149,12 +155,140 @@ TEST(NodeStore, MemoryUsageAccountsSlabsIndexAndArena) {
   StoreMemoryStats s = store.MemoryUsage();
   EXPECT_EQ(s.node_bytes,
             NodeStore<TestNode>::kSlabNodes * sizeof(TestNode));
-  EXPECT_GT(s.index_bytes, 0u);
+  // index_bytes is exact: every slot array was reserved for the 10 ids
+  // (a liveness byte, a sorted live id, its slot and the slot's id), and
+  // the index is the smallest power of two of 4-byte cells at load <= 1/2.
+  EXPECT_EQ(s.index_bytes,
+            10 * (sizeof(uint8_t) + sizeof(uint64_t) + sizeof(uint32_t) +
+                  sizeof(uint64_t)) +
+                32 * sizeof(uint32_t));
   EXPECT_EQ(s.table_bytes, store.tables().used_bytes());
   EXPECT_EQ(s.arena_bytes, store.tables().allocated_bytes());
   const double total = static_cast<double>(s.node_bytes + s.index_bytes +
                                            s.arena_bytes);
   EXPECT_DOUBLE_EQ(s.bytes_per_node, total / 10.0);
+}
+
+TEST(NodeStore, IndexAgreesWithReferenceUnderInterleavedOps) {
+  using Store = NodeStore<TestNode>;
+  // Ids whose hashes agree in their top 12 bits share one home cell at
+  // every index size up to 2^12 cells, so inserting them builds one long
+  // probe run. Found by brute force.
+  auto home12 = [](uint64_t id) { return (id * Store::kIndexHashMul) >> 52; };
+  const uint64_t anchor = uint64_t{1} << 20;
+  std::vector<uint64_t> same_home;
+  for (uint64_t id = anchor; same_home.size() < 48; ++id) {
+    if (home12(id) == home12(anchor)) same_home.push_back(id);
+  }
+  std::vector<uint64_t> pool = {0, ~uint64_t{0}};
+  // Equal low words, then a consecutive run.
+  for (uint64_t k = 1; k <= 24; ++k) pool.push_back(k << 32);
+  for (uint64_t i = 0; i < 40; ++i) pool.push_back(5000 + i);
+  pool.insert(pool.end(), same_home.begin(), same_home.begin() + 40);
+  // Never added: the last eight end their probe past the whole shared run.
+  std::vector<uint64_t> absent = {1, ~uint64_t{0} - 1, uint64_t{25} << 32,
+                                  5040};
+  absent.insert(absent.end(), same_home.begin() + 40, same_home.end());
+
+  auto outcome = proptest::RunProperty(18, 20, [&](proptest::Case& c)
+                                                   -> std::string {
+    struct Ref {
+      uint32_t slot;
+      const TestNode* node;
+      int tag;
+      bool alive;
+    };
+    std::map<uint64_t, Ref> ref;
+    Store store;
+    auto emplace = [&](uint64_t id, int tag) -> std::string {
+      auto [node, inserted] = store.Emplace(id, tag);
+      auto it = ref.find(id);
+      if (it == ref.end()) {
+        if (!inserted || node->tag != tag) return "new id not inserted";
+        const auto slot = static_cast<uint32_t>(ref.size());
+        ref.emplace(id, Ref{slot, node, tag, false});
+      } else if (inserted || node != it->second.node) {
+        return "existing id re-inserted";
+      }
+      return "";
+    };
+    auto check = [&]() -> std::string {
+      if (store.size() != ref.size()) return "size mismatch";
+      std::vector<uint64_t> live;
+      for (uint64_t id : pool) {
+        auto it = ref.find(id);
+        if (it == ref.end()) {
+          if (store.SlotOf(id) != Store::kNoSlot || store.Get(id) != nullptr ||
+              store.IsAlive(id)) {
+            return "unadded pool id " + std::to_string(id) + " found";
+          }
+          continue;
+        }
+        const Ref& r = it->second;
+        if (store.SlotOf(id) != r.slot) return "slot of " + std::to_string(id);
+        if (store.Get(id) != r.node || r.node->tag != r.tag) {
+          return "record of " + std::to_string(id);
+        }
+        if (store.IsAlive(id) != r.alive) {
+          return "liveness of " + std::to_string(id);
+        }
+        if (r.alive) live.push_back(id);
+      }
+      for (uint64_t id : absent) {
+        if (store.SlotOf(id) != Store::kNoSlot || store.Get(id) != nullptr ||
+            store.IsAlive(id)) {
+          return "never-added id " + std::to_string(id) + " found";
+        }
+      }
+      std::sort(live.begin(), live.end());
+      if (store.live_ids() != live) return "live ids";
+      return "";
+    };
+
+    constexpr int kSteps = 300;
+    for (int step = 0; step < kSteps; ++step) {
+      // The first half grows the index by Emplace alone (from 16 cells
+      // through several doublings); Reserve joins in the second half.
+      const bool may_reserve = step >= kSteps / 2;
+      const uint64_t op = c.Range("op", 0, 5);
+      const uint64_t id = pool[c.Range("id", 0, pool.size() - 1)];
+      std::string err;
+      if (op <= 1 || (op == 2 && !may_reserve)) {
+        err = emplace(id, step);
+      } else if (op == 2) {
+        store.Reserve(store.size() + c.Range("extra", 0, 300));
+      } else if (op == 3) {
+        err = emplace(id, step);
+        store.MarkAlive(id);
+        ref[id].alive = true;
+      } else if (op == 4) {
+        if (auto it = ref.find(id); it != ref.end()) {
+          store.MarkDead(id);
+          it->second.alive = false;
+        }
+      } else {
+        Store moved(std::move(store));
+        if (store.size() != 0 || store.SlotOf(id) != Store::kNoSlot ||
+            store.Get(id) != nullptr) {
+          return "moved-from store still indexes ids";
+        }
+        if (c.Bool("assign_over_records")) {
+          Store other;
+          other.Emplace(absent[0], -1);
+          other.MarkAlive(absent[0]);
+          other = std::move(moved);
+          store = std::move(other);
+        } else {
+          store = std::move(moved);
+        }
+      }
+      if (err.empty()) err = check();
+      if (!err.empty()) return "step " + std::to_string(step) + ": " + err;
+    }
+    return "";
+  });
+  EXPECT_TRUE(outcome.ok) << outcome.message << " [" << outcome.counterexample
+                          << "]";
 }
 
 TEST(NodeStore, PointersStayValidAcrossGrowth) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
+#include <utility>
 
 #include "common/bits.h"
 #include "common/random.h"
@@ -79,21 +81,112 @@ TEST(PastryNetwork, RowEntriesAreProximityClosest) {
       uint64_t entry = rows[static_cast<size_t>(row)];
       double entry_dist = 0;
       if (entry != PastryNetwork::kNoEntry) {
-        const Coord& a = node->coord;
-        const Coord& b = net.GetNode(entry)->coord;
+        const Coord& a = *net.CoordOf(id);
+        const Coord& b = *net.CoordOf(entry);
         entry_dist = (a.x - b.x) * (a.x - b.x) + (a.y - b.y) * (a.y - b.y);
       }
       for (uint64_t w : ids) {
         if (w == id || CommonPrefixLength(id, w, 12) != row) continue;
         ASSERT_NE(entry, PastryNetwork::kNoEntry)
             << "row " << row << " should not be empty";
-        const Coord& a = node->coord;
-        const Coord& b = net.GetNode(w)->coord;
+        const Coord& a = *net.CoordOf(id);
+        const Coord& b = *net.CoordOf(w);
         double d = (a.x - b.x) * (a.x - b.x) + (a.y - b.y) * (a.y - b.y);
         EXPECT_GE(d + 1e-12, entry_dist) << "closer candidate missed";
       }
     }
   }
+}
+
+TEST(PastryNetwork, CoordinatesStayWithTheirIdAcrossChurn) {
+  Rng rng(77);
+  const auto ids = rng.SampleDistinct(uint64_t{1} << 12, 50);
+  PastryNetwork net = MakeNetwork(12, ids);
+  ASSERT_EQ(net.coords().size(), ids.size());
+  std::map<uint64_t, std::pair<double, double>> first;
+  for (uint64_t id : ids) {
+    const Coord* c = net.CoordOf(id);
+    ASSERT_NE(c, nullptr);
+    first[id] = {c->x, c->y};
+  }
+  auto expect_unchanged = [&](const char* when) {
+    for (uint64_t id : ids) {
+      const Coord* c = net.CoordOf(id);
+      ASSERT_NE(c, nullptr) << when;
+      EXPECT_EQ(std::make_pair(c->x, c->y), first[id]) << when << " id " << id;
+    }
+  };
+
+  for (size_t i = 0; i < ids.size(); i += 3) {
+    ASSERT_TRUE(net.RemoveNode(ids[i]).ok());
+  }
+  expect_unchanged("after RemoveNode");
+  for (size_t i = 0; i < ids.size(); i += 3) {
+    ASSERT_TRUE(net.RejoinNode(ids[i]).ok());
+  }
+  expect_unchanged("after RejoinNode");
+
+  // A departed id added again, one at a time or in bulk, keeps its
+  // coordinates and appends none.
+  for (size_t i = 1; i < ids.size(); i += 4) {
+    ASSERT_TRUE(net.RemoveNode(ids[i]).ok());
+    ASSERT_TRUE(net.AddNode(ids[i]).ok());
+  }
+  ASSERT_TRUE(net.RemoveNode(ids[2]).ok());
+  ASSERT_TRUE(net.BulkAdd({ids[2]}).ok());
+  EXPECT_EQ(net.coords().size(), ids.size());
+  expect_unchanged("after AddNode of departed ids");
+
+  // A new id appends exactly one; a live duplicate is refused and appends
+  // none.
+  uint64_t fresh = 0;
+  while (first.count(fresh) != 0) ++fresh;
+  ASSERT_TRUE(net.AddNode(fresh).ok());
+  EXPECT_EQ(net.coords().size(), ids.size() + 1);
+  EXPECT_FALSE(net.AddNode(fresh).ok());
+  EXPECT_EQ(net.coords().size(), ids.size() + 1);
+  expect_unchanged("after adding a new id");
+
+  // One entry per slot: every id owns a distinct entry of the array, and
+  // the entries are exactly the ids'.
+  std::set<const Coord*> owned;
+  for (uint64_t id : ids) owned.insert(net.CoordOf(id));
+  owned.insert(net.CoordOf(fresh));
+  EXPECT_EQ(owned.size(), net.coords().size());
+  for (const Coord* c : owned) {
+    EXPECT_GE(c, net.coords().data());
+    EXPECT_LT(c, net.coords().data() + net.coords().size());
+  }
+  uint64_t never = fresh + 1;
+  while (first.count(never) != 0) ++never;
+  EXPECT_EQ(net.CoordOf(never), nullptr);
+}
+
+TEST(PastryNetwork, NeverAddedAuxiliaryRanksWithoutCoordinates) {
+  // A stale plan believes every dead entry alive, including an auxiliary id
+  // the network never held. Prefix routing must rank it without
+  // coordinates (last on proximity) rather than read a missing record; the
+  // kernel then finds it dead and routes around it.
+  Rng rng(5);
+  const auto ids = rng.SampleDistinct(uint64_t{1} << 16, 64);
+  PastryNetwork net = MakeNetwork(16, ids);
+  const uint64_t origin = ids[0];
+  uint64_t key = origin ^ (uint64_t{1} << 15);
+  while (std::find(ids.begin(), ids.end(), key) != ids.end()) ++key;
+  const uint64_t ghost = key;  // matches the key on every bit
+  ASSERT_TRUE(net.SetAuxiliaries(origin, {ghost}).ok());
+  fault::FaultConfig config;
+  config.stale_prob = 1.0;
+  config.seed = 3;
+  const fault::FaultPlan plan(config);
+  overlay::RouteOptions options;
+  options.faults = &plan;
+  auto route = net.Lookup(origin, key, options);
+  ASSERT_TRUE(route.ok());
+  EXPECT_GE(route->stale_forwards, 1);
+  EXPECT_TRUE(route->success);
+  ASSERT_FALSE(route->dead_evictions.empty());
+  EXPECT_EQ(route->dead_evictions.front(), std::make_pair(origin, ghost));
 }
 
 TEST(PastryNetwork, LookupAlwaysSucceedsWhenStable) {
