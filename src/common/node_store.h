@@ -171,11 +171,10 @@ class NodeStore {
   }
 
   /// Marks an existing id live and inserts it into the sorted live arrays.
-  /// No-op if already live.
+  /// No-op if already live or never added.
   void MarkAlive(uint64_t id) {
     const uint32_t slot = SlotOf(id);
-    assert(slot != kNoSlot);
-    if (alive_[slot]) return;
+    if (slot == kNoSlot || alive_[slot]) return;
     alive_[slot] = 1;
     const size_t pos = static_cast<size_t>(
         std::lower_bound(live_ids_.begin(), live_ids_.end(), id) -
@@ -187,15 +186,14 @@ class NodeStore {
 
   /// Marks every id in `ids` live in one pass: O((m + live) log m) instead
   /// of m separate O(live) sorted insertions — the difference between a
-  /// quadratic and a linearithmic bulk build at n = 2^20. Ids must already
-  /// exist; ids that are already live are skipped.
+  /// quadratic and a linearithmic bulk build at n = 2^20. Ids that were
+  /// never added and ids that are already live are skipped.
   void BulkMarkAlive(const std::vector<uint64_t>& ids) {
     std::vector<std::pair<uint64_t, uint32_t>> added;
     added.reserve(ids.size());
     for (uint64_t id : ids) {
       const uint32_t slot = SlotOf(id);
-      assert(slot != kNoSlot);
-      if (alive_[slot]) continue;
+      if (slot == kNoSlot || alive_[slot]) continue;
       alive_[slot] = 1;
       added.emplace_back(id, slot);
     }
@@ -233,11 +231,10 @@ class NodeStore {
   }
 
   /// Marks a live id dead and removes it from the live arrays. No-op if
-  /// not live.
+  /// not live or never added.
   void MarkDead(uint64_t id) {
     const uint32_t slot = SlotOf(id);
-    assert(slot != kNoSlot);
-    if (!alive_[slot]) return;
+    if (slot == kNoSlot || !alive_[slot]) return;
     alive_[slot] = 0;
     const size_t pos = static_cast<size_t>(
         std::lower_bound(live_ids_.begin(), live_ids_.end(), id) -

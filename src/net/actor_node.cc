@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <span>
+#include <utility>
 #include <variant>
 
 #include "chord/chord_network.h"
@@ -134,7 +135,7 @@ void ActorHost<Net>::VisitAndEmit(uint64_t lookup_id, uint64_t client,
     done.origin = origin;
     done.key = cursor.key;
     done.status = static_cast<uint8_t>(LookupWireStatus::kOk);
-    done.route = PackRouteState(result);
+    done.route = PackRouteState(std::move(result));
     if (trace != nullptr) {
       done.flags |= LookupDone::kFlagTraced;
       done.hops = PackHops(trace->path);
@@ -147,7 +148,7 @@ void ActorHost<Net>::VisitAndEmit(uint64_t lookup_id, uint64_t client,
     step.client = client;
     step.origin = origin;
     step.cursor = PackCursor(cursor, resilient());
-    step.route = PackRouteState(result);
+    step.route = PackRouteState(std::move(result));
     if (trace != nullptr) {
       step.flags |= LookupStep::kFlagTraced;
       step.hops = PackHops(trace->path);
@@ -176,7 +177,7 @@ void ActorHost<Net>::StartLookup(const LookupReq& req,
 }
 
 template <typename Net>
-void ActorHost<Net>::ContinueLookup(uint64_t at, const LookupStep& step,
+void ActorHost<Net>::ContinueLookup(uint64_t at, LookupStep step,
                                     std::vector<Outbound>& out) const {
   overlay::RouteCursor cursor = UnpackCursor(step.cursor);
   // The cursor must stand at this live node and carry this host's routing
@@ -203,7 +204,7 @@ void ActorHost<Net>::ContinueLookup(uint64_t at, const LookupStep& step,
   }
   cursor.node = node;
   overlay::RouteResult result;
-  UnpackRouteState(step.route, result);
+  UnpackRouteState(std::move(step.route), result);
   RouteTrace trace;
   RouteTrace* tp = nullptr;
   if (step.traced()) {
@@ -221,7 +222,7 @@ void ActorHost<Net>::HandleMessage(const Envelope& env,
                                    std::vector<Outbound>& out) const {
   auto decoded = Decode(std::span<const uint8_t>(env.payload));
   if (!decoded.ok()) return;  // undecodable frame: dropped, never UB
-  const AnyMessage& msg = decoded.value();
+  AnyMessage& msg = decoded.value();
   if (const auto* req = std::get_if<LookupReq>(&msg)) {
     if (req->origin != env.dst) {
       EmitError(req->lookup_id, req->client, req->origin, req->key,
@@ -229,8 +230,8 @@ void ActorHost<Net>::HandleMessage(const Envelope& env,
       return;
     }
     StartLookup(*req, out);
-  } else if (const auto* step = std::get_if<LookupStep>(&msg)) {
-    ContinueLookup(env.dst, *step, out);
+  } else if (auto* step = std::get_if<LookupStep>(&msg)) {
+    ContinueLookup(env.dst, std::move(*step), out);
   }
   // DONE is client-side; control messages go through ApplyControl.
 }

@@ -65,11 +65,12 @@ class ActorHost {
 
  private:
   void StartLookup(const LookupReq& req, std::vector<Outbound>& out) const;
-  void ContinueLookup(uint64_t at, const LookupStep& step,
+  /// Consumes `step`: its route vectors move into the resumed route.
+  void ContinueLookup(uint64_t at, LookupStep step,
                       std::vector<Outbound>& out) const;
   /// Runs one kernel visit on a live cursor and emits the follow-up
   /// message, given the route/trace state reconstructed (or created) by the
-  /// caller.
+  /// caller. Consumes `result`: its vectors move into the emitted message.
   void VisitAndEmit(uint64_t lookup_id, uint64_t client, uint64_t origin,
                     overlay::RouteCursor& cursor, overlay::RouteResult& result,
                     RouteTrace* trace, std::vector<Outbound>& out) const;

@@ -1,24 +1,61 @@
 #include "net/wire.h"
 
 #include <array>
+#include <cassert>
 
 namespace peercache::net {
 
 namespace {
 
-/// Nibble-driven CRC-32: 16-entry table, two lookups per byte. Small enough
-/// to live in cache, fast enough for control-plane framing.
-constexpr std::array<uint32_t, 16> kCrcTable = [] {
-  std::array<uint32_t, 16> t{};
-  for (uint32_t i = 0; i < 16; ++i) {
+/// Slicing-by-8 tables: kCrcTables[0] is the bytewise table of the
+/// reflected polynomial, and kCrcTables[k][b] is the CRC of byte b followed
+/// by k zero bytes, so one step folds eight input bytes with eight lookups.
+constexpr std::array<std::array<uint32_t, 256>, 8> kCrcTables = [] {
+  std::array<std::array<uint32_t, 256>, 8> t{};
+  for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
-    for (int k = 0; k < 4; ++k) {
+    for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    t[i] = c;
+    t[0][i] = c;
+  }
+  for (size_t k = 1; k < 8; ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+    }
   }
   return t;
 }();
+
+/// Little-endian 32-bit field at `p`, assembled byte by byte.
+uint32_t LoadLE32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+         (static_cast<uint32_t>(p[2]) << 16) |
+         (static_cast<uint32_t>(p[3]) << 24);
+}
+
+void StoreLE32(uint8_t* p, uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
+}
+
+// Fixed payload sizes in bytes; the variable parts add per element.
+constexpr size_t kReqPayload = 33;        // 4 x u64, flags
+constexpr size_t kStepFixedPayload = 62;  // 3 x u64, flags, cursor (37)
+constexpr size_t kDoneFixedPayload = 34;  // 4 x u64, status, flags
+constexpr size_t kNodePayload = 8;        // JOIN and STABILIZE: node id
+constexpr size_t kLeavePayload = 9;       // node id, forget_state
+constexpr size_t kRouteStateFixed = 49;   // flags, u64, 6 x u32, f64, 2 counts
+constexpr size_t kHopSize = 34;           // 3 x u64, f64, kind, flags
+constexpr size_t kEvictionSize = 16;      // holder, entry
+
+size_t RouteStateSize(const WireRouteState& s) {
+  return kRouteStateFixed + 8 * s.path.size() +
+         kEvictionSize * s.dead_evictions.size();
+}
+
+size_t HopsSize(const std::vector<WireHop>& hops) {
+  return 4 + kHopSize * hops.size();
+}
 
 void WriteU64Vector(ByteWriter& w, const std::vector<uint64_t>& v) {
   w.U32(static_cast<uint32_t>(v.size()));
@@ -66,7 +103,9 @@ bool ReadRouteState(ByteReader& r, WireRouteState& s) {
   }
   uint32_t count;
   if (!r.U32(count)) return false;
-  if (static_cast<size_t>(count) * 16 > r.remaining()) return false;
+  if (static_cast<size_t>(count) * kEvictionSize > r.remaining()) {
+    return false;
+  }
   s.dead_evictions.clear();
   s.dead_evictions.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
@@ -108,7 +147,7 @@ void WriteHops(ByteWriter& w, const std::vector<WireHop>& hops) {
 bool ReadHops(ByteReader& r, std::vector<WireHop>& hops) {
   uint32_t count;
   if (!r.U32(count)) return false;
-  if (static_cast<size_t>(count) * 34 > r.remaining()) return false;
+  if (static_cast<size_t>(count) * kHopSize > r.remaining()) return false;
   hops.clear();
   hops.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
@@ -125,23 +164,29 @@ bool ReadHops(ByteReader& r, std::vector<WireHop>& hops) {
   return true;
 }
 
-/// Frames `payload` under the versioned checksummed header. The checksum
-/// covers version, type, payload_len, and the payload (everything after
-/// the magic except the checksum field itself).
-std::vector<uint8_t> Frame(MessageType type,
-                           const std::vector<uint8_t>& payload) {
+/// Builds one frame in a single exactly-sized buffer: the header goes in
+/// with zero payload_len and checksum, `write_payload` appends the payload,
+/// and both fields are then patched in place. The checksum covers version,
+/// type, payload_len, and the payload (everything after the magic except
+/// the checksum field itself).
+template <typename WritePayload>
+std::vector<uint8_t> BuildFrame(MessageType type, size_t payload_len,
+                                WritePayload&& write_payload) {
   std::vector<uint8_t> out;
-  out.reserve(kWireHeaderSize + payload.size());
+  out.reserve(kWireHeaderSize + payload_len);
   ByteWriter w(out);
   w.U32(kWireMagic);
   w.U16(kWireVersion);
   w.U16(static_cast<uint16_t>(type));
-  w.U32(static_cast<uint32_t>(payload.size()));
-  const uint32_t crc =
-      Crc32(std::span<const uint8_t>(payload.data(), payload.size()),
-            Crc32(std::span<const uint8_t>(out.data() + 4, 8)));
-  w.U32(crc);
-  out.insert(out.end(), payload.begin(), payload.end());
+  w.U32(0);  // payload_len, patched below
+  w.U32(0);  // checksum, patched below
+  write_payload(w);
+  assert(out.size() == kWireHeaderSize + payload_len);
+  StoreLE32(out.data() + 8,
+            static_cast<uint32_t>(out.size() - kWireHeaderSize));
+  const std::span<const uint8_t> frame(out);
+  StoreLE32(out.data() + 12, Crc32(frame.subspan(kWireHeaderSize),
+                                   Crc32(frame.subspan(4, 8))));
   return out;
 }
 
@@ -190,72 +235,75 @@ Status CheckFrame(std::span<const uint8_t> frame, MessageType& type) {
 }  // namespace
 
 uint32_t Crc32(std::span<const uint8_t> data, uint32_t seed) {
+  const auto& t = kCrcTables;
   uint32_t crc = ~seed;
-  for (uint8_t b : data) {
-    crc = kCrcTable[(crc ^ b) & 0xF] ^ (crc >> 4);
-    crc = kCrcTable[(crc ^ (b >> 4)) & 0xF] ^ (crc >> 4);
+  const uint8_t* p = data.data();
+  size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = crc ^ LoadLE32(p);
+    const uint32_t hi = LoadLE32(p + 4);
+    crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+          t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
   }
+  for (; n > 0; ++p, --n) crc = t[0][(crc ^ *p) & 0xFF] ^ (crc >> 8);
   return ~crc;
 }
 
 std::vector<uint8_t> Encode(const LookupReq& msg) {
-  std::vector<uint8_t> payload;
-  ByteWriter w(payload);
-  w.U64(msg.lookup_id);
-  w.U64(msg.client);
-  w.U64(msg.origin);
-  w.U64(msg.key);
-  w.U8(msg.flags);
-  return Frame(MessageType::kLookupReq, payload);
+  return BuildFrame(MessageType::kLookupReq, kReqPayload, [&](ByteWriter& w) {
+    w.U64(msg.lookup_id);
+    w.U64(msg.client);
+    w.U64(msg.origin);
+    w.U64(msg.key);
+    w.U8(msg.flags);
+  });
 }
 
 std::vector<uint8_t> Encode(const LookupStep& msg) {
-  std::vector<uint8_t> payload;
-  ByteWriter w(payload);
-  w.U64(msg.lookup_id);
-  w.U64(msg.client);
-  w.U64(msg.origin);
-  w.U8(msg.flags);
-  WriteCursor(w, msg.cursor);
-  WriteRouteState(w, msg.route);
-  WriteHops(w, msg.hops);
-  return Frame(MessageType::kLookupStep, payload);
+  const size_t len =
+      kStepFixedPayload + RouteStateSize(msg.route) + HopsSize(msg.hops);
+  return BuildFrame(MessageType::kLookupStep, len, [&](ByteWriter& w) {
+    w.U64(msg.lookup_id);
+    w.U64(msg.client);
+    w.U64(msg.origin);
+    w.U8(msg.flags);
+    WriteCursor(w, msg.cursor);
+    WriteRouteState(w, msg.route);
+    WriteHops(w, msg.hops);
+  });
 }
 
 std::vector<uint8_t> Encode(const LookupDone& msg) {
-  std::vector<uint8_t> payload;
-  ByteWriter w(payload);
-  w.U64(msg.lookup_id);
-  w.U64(msg.client);
-  w.U64(msg.origin);
-  w.U64(msg.key);
-  w.U8(msg.status);
-  w.U8(msg.flags);
-  WriteRouteState(w, msg.route);
-  WriteHops(w, msg.hops);
-  return Frame(MessageType::kLookupDone, payload);
+  const size_t len =
+      kDoneFixedPayload + RouteStateSize(msg.route) + HopsSize(msg.hops);
+  return BuildFrame(MessageType::kLookupDone, len, [&](ByteWriter& w) {
+    w.U64(msg.lookup_id);
+    w.U64(msg.client);
+    w.U64(msg.origin);
+    w.U64(msg.key);
+    w.U8(msg.status);
+    w.U8(msg.flags);
+    WriteRouteState(w, msg.route);
+    WriteHops(w, msg.hops);
+  });
 }
 
 std::vector<uint8_t> Encode(const Join& msg) {
-  std::vector<uint8_t> payload;
-  ByteWriter w(payload);
-  w.U64(msg.node_id);
-  return Frame(MessageType::kJoin, payload);
+  return BuildFrame(MessageType::kJoin, kNodePayload,
+                    [&](ByteWriter& w) { w.U64(msg.node_id); });
 }
 
 std::vector<uint8_t> Encode(const Leave& msg) {
-  std::vector<uint8_t> payload;
-  ByteWriter w(payload);
-  w.U64(msg.node_id);
-  w.U8(msg.forget_state);
-  return Frame(MessageType::kLeave, payload);
+  return BuildFrame(MessageType::kLeave, kLeavePayload, [&](ByteWriter& w) {
+    w.U64(msg.node_id);
+    w.U8(msg.forget_state);
+  });
 }
 
 std::vector<uint8_t> Encode(const Stabilize& msg) {
-  std::vector<uint8_t> payload;
-  ByteWriter w(payload);
-  w.U64(msg.node_id);
-  return Frame(MessageType::kStabilize, payload);
+  return BuildFrame(MessageType::kStabilize, kNodePayload,
+                    [&](ByteWriter& w) { w.U64(msg.node_id); });
 }
 
 std::vector<uint8_t> Encode(const AnyMessage& msg) {
@@ -326,7 +374,7 @@ Result<AnyMessage> Decode(std::span<const uint8_t> frame) {
   return Status::Internal("wire: unreachable type");
 }
 
-WireRouteState PackRouteState(const overlay::RouteResult& r) {
+WireRouteState PackRouteState(overlay::RouteResult r) {
   WireRouteState s;
   s.flags = static_cast<uint8_t>(
       (r.success ? WireRouteState::kFlagSuccess : 0) |
@@ -339,12 +387,12 @@ WireRouteState PackRouteState(const overlay::RouteResult& r) {
   s.failstop_skips = static_cast<uint32_t>(r.failstop_skips);
   s.stale_forwards = static_cast<uint32_t>(r.stale_forwards);
   s.latency_ms = r.latency_ms;
-  s.path = r.path;
-  s.dead_evictions = r.dead_evictions;
+  s.path = std::move(r.path);
+  s.dead_evictions = std::move(r.dead_evictions);
   return s;
 }
 
-void UnpackRouteState(const WireRouteState& w, overlay::RouteResult& out) {
+void UnpackRouteState(WireRouteState w, overlay::RouteResult& out) {
   out.success = (w.flags & WireRouteState::kFlagSuccess) != 0;
   out.budget_exhausted =
       (w.flags & WireRouteState::kFlagBudgetExhausted) != 0;
@@ -356,8 +404,8 @@ void UnpackRouteState(const WireRouteState& w, overlay::RouteResult& out) {
   out.failstop_skips = static_cast<int>(w.failstop_skips);
   out.stale_forwards = static_cast<int>(w.stale_forwards);
   out.latency_ms = w.latency_ms;
-  out.path = w.path;
-  out.dead_evictions = w.dead_evictions;
+  out.path = std::move(w.path);
+  out.dead_evictions = std::move(w.dead_evictions);
 }
 
 std::vector<WireHop> PackHops(const std::vector<HopRecord>& path) {

@@ -50,30 +50,22 @@ enum class MessageType : uint16_t {
   kStabilize = 6,
 };
 
-/// CRC-32 (IEEE 802.3, reflected 0xEDB88320), nibble-table driven. `seed`
+/// CRC-32 (IEEE 802.3, reflected 0xEDB88320), slicing-by-8: eight
+/// 256-entry tables fold eight bytes per step, assembled with explicit
+/// little-endian shifts, so the value is the same on every host. `seed`
 /// chains incremental updates: Crc32(b, Crc32(a)) == Crc32(a ++ b).
 uint32_t Crc32(std::span<const uint8_t> data, uint32_t seed = 0);
 
-/// Appends little-endian primitives to a byte buffer.
+/// Appends little-endian primitives to a byte buffer, one whole field per
+/// call.
 class ByteWriter {
  public:
   explicit ByteWriter(std::vector<uint8_t>& out) : out_(out) {}
 
   void U8(uint8_t v) { out_.push_back(v); }
-  void U16(uint16_t v) {
-    out_.push_back(static_cast<uint8_t>(v));
-    out_.push_back(static_cast<uint8_t>(v >> 8));
-  }
-  void U32(uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      out_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-    }
-  }
-  void U64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      out_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-    }
-  }
+  void U16(uint16_t v) { Put<2>(v); }
+  void U32(uint32_t v) { Put<4>(v); }
+  void U64(uint64_t v) { Put<8>(v); }
   /// Doubles travel as their IEEE-754 bit pattern, so a round trip is exact
   /// to the bit (latency sums stay byte-comparable against the direct path).
   void F64(double v) {
@@ -83,6 +75,14 @@ class ByteWriter {
   }
 
  private:
+  template <size_t N>
+  void Put(uint64_t v) {
+    const size_t at = out_.size();
+    out_.resize(at + N);
+    uint8_t* p = out_.data() + at;
+    for (size_t i = 0; i < N; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
+  }
+
   std::vector<uint8_t>& out_;
 };
 
@@ -277,7 +277,8 @@ struct Stabilize {
 using AnyMessage =
     std::variant<LookupReq, LookupStep, LookupDone, Join, Leave, Stabilize>;
 
-/// Encodes one message into a framed wire buffer (header + payload).
+/// Encodes one message into a framed wire buffer (header + payload), built
+/// in one exactly-sized allocation.
 std::vector<uint8_t> Encode(const LookupReq& msg);
 std::vector<uint8_t> Encode(const LookupStep& msg);
 std::vector<uint8_t> Encode(const LookupDone& msg);
@@ -296,8 +297,10 @@ Result<MessageType> PeekType(std::span<const uint8_t> frame);
 Result<AnyMessage> Decode(std::span<const uint8_t> frame);
 
 /// RouteResult <-> wire conversions (exact, including double bit patterns).
-WireRouteState PackRouteState(const overlay::RouteResult& r);
-void UnpackRouteState(const WireRouteState& w, overlay::RouteResult& out);
+/// The source is taken by value: a caller finished with it passes std::move
+/// and its path and eviction vectors change owner instead of being copied.
+WireRouteState PackRouteState(overlay::RouteResult r);
+void UnpackRouteState(WireRouteState w, overlay::RouteResult& out);
 
 /// RouteTrace hop records <-> wire conversions.
 std::vector<WireHop> PackHops(const std::vector<HopRecord>& path);

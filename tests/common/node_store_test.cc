@@ -126,6 +126,33 @@ TEST(NodeStore, BulkMarkAliveMatchesIncrementalMarkAlive) {
   }
 }
 
+// Runs in every build type: an id that was never added must leave the
+// store untouched (with asserts compiled out, the old guard indexed
+// alive_[kNoSlot]).
+TEST(NodeStore, UnknownIdsLeaveTheStoreUnchanged) {
+  NodeStore<TestNode> store;
+  for (uint64_t id : {10, 20, 30}) store.Emplace(id, 0);
+  store.MarkAlive(10);
+  store.MarkAlive(30);
+  const std::vector<uint64_t> live = store.live_ids();
+
+  store.MarkAlive(15);
+  store.MarkDead(25);
+  EXPECT_FALSE(store.IsAlive(15));
+  EXPECT_EQ(store.live_ids(), live);
+  EXPECT_EQ(store.size(), 3u);
+
+  // Bulk: the unknown ids are skipped, the known dead one still goes live.
+  store.BulkMarkAlive({5, 20, ~uint64_t{0}});
+  EXPECT_EQ(store.live_ids(), (std::vector<uint64_t>{10, 20, 30}));
+  EXPECT_EQ(store.size(), 3u);
+  EXPECT_EQ(store.Get(5), nullptr);
+  for (size_t i = 0; i < store.live_ids().size(); ++i) {
+    EXPECT_EQ(&store.at_slot(store.live_slot(i)),
+              store.Get(store.live_ids()[i]));
+  }
+}
+
 TEST(NodeStore, ReserveDoesNotDisturbContents) {
   NodeStore<TestNode> store;
   store.Emplace(3, 30);

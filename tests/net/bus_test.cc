@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -135,6 +136,75 @@ TEST(BusTest, MaxTicksStopsRunawayTraffic) {
   });
   EXPECT_LE(bus.last_tick(), 50u);
   EXPECT_GT(bus.pending(), 0u);  // the runaway message is still queued
+}
+
+/// Folds every delivery of a seeded multi-tick forwarding run, as (tick,
+/// dst, src, seq) in delivery order, into an FNV-1a digest. Each mailbox
+/// logs its own deliveries (mailboxes are handled serially), and a stable
+/// sort by (tick, dst) restores the bus's global order.
+uint64_t DeliveryDigest(int threads) {
+  constexpr uint64_t kWorkers = 24;
+  ThreadPool pool(threads);
+  BusConfig config;
+  config.seed = 77;
+  config.tick_ms = 2.0;
+  MessageBus bus(config, &pool);
+  for (uint64_t i = 0; i < 40; ++i) {
+    bus.Post(kCollector, i % kWorkers, static_cast<double>(i % 3),
+             Payload(i, 6));
+  }
+  struct Event {
+    uint64_t tick, dst, src, seq;
+  };
+  std::vector<std::vector<Event>> logs(kWorkers);
+  bus.Run([&](const Envelope& env, std::vector<Outbound>& out) {
+    logs[env.dst].push_back({env.tick, env.dst, env.src, env.seq});
+    uint64_t chain = 0, left = 0;
+    for (int i = 0; i < 8; ++i) {
+      chain |= static_cast<uint64_t>(env.payload[static_cast<size_t>(i)])
+               << (8 * i);
+      left |= static_cast<uint64_t>(env.payload[static_cast<size_t>(8 + i)])
+              << (8 * i);
+    }
+    if (left == 0) return;
+    // Fan out to two workers so mailboxes collect several arrivals a tick.
+    for (uint64_t fork = 0; fork < 2; ++fork) {
+      const uint64_t h = MixHash64(chain ^ (left << 8) ^ env.dst ^ fork);
+      Outbound next;
+      next.dst = h % kWorkers;
+      next.delay_ms = static_cast<double>(h % 5);
+      next.payload = Payload(chain ^ (fork << 32), left - 1);
+      out.push_back(std::move(next));
+    }
+  });
+  std::vector<Event> order;
+  for (const auto& log : logs) order.insert(order.end(), log.begin(), log.end());
+  std::stable_sort(order.begin(), order.end(),
+                   [](const Event& a, const Event& b) {
+                     return a.tick != b.tick ? a.tick < b.tick
+                                             : a.dst < b.dst;
+                   });
+  uint64_t digest = 0xcbf29ce484222325ULL;
+  auto fold = [&digest](uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      digest = (digest ^ ((v >> (8 * i)) & 0xFF)) * 0x100000001b3ULL;
+    }
+  };
+  for (const Event& e : order) {
+    fold(e.tick);
+    fold(e.dst);
+    fold(e.src);
+    fold(e.seq);
+  }
+  fold(bus.delivered());
+  return digest;
+}
+
+// Pins the delivery order itself, not just its thread-count invariance: a
+// faster tie-break must reproduce the recorded order.
+TEST(BusTest, DeliveryOrderMatchesRecordedDigest) {
+  EXPECT_EQ(DeliveryDigest(1), 0xce3294fc5aaa35aULL);
+  EXPECT_EQ(DeliveryDigest(4), 0xce3294fc5aaa35aULL);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -221,6 +222,66 @@ TEST(PeerCacheTest, OverwriteReplacesInPlace) {
   PeerRecord back;
   ASSERT_TRUE(cache->Get(5, back));
   EXPECT_EQ(back, updated);
+  std::remove(path.c_str());
+}
+
+std::string Hex(const std::vector<uint8_t>& bytes, size_t from, size_t len) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (size_t i = from; i < from + len; ++i) {
+    out += kDigits[bytes[i] >> 4];
+    out += kDigits[bytes[i] & 0xF];
+  }
+  return out;
+}
+
+// Pins the cache-file format: the header and both used slots of a small
+// file, byte for byte. A faster encoder or CRC must reproduce them exactly.
+TEST(PeerCacheTest, GoldenFileBytes) {
+  const std::string path = TempPath("golden");
+  PeerCacheConfig config;
+  config.slot_count = 8;
+  config.aux_capacity = 2;
+  config.freq_capacity = 2;
+  config.salt = 0x0123456789ABCDEFULL;
+  {
+    auto cache = PeerCache::Create(path, config);
+    ASSERT_TRUE(cache.ok()) << cache.status();
+    PeerRecord a;
+    a.node_id = 0x11;
+    a.auxiliaries = {0x21, 0x22};
+    a.frequencies = {{0x31, 5}};
+    PeerRecord b;
+    b.node_id = 0x12;
+    b.auxiliaries = {0x41};
+    b.frequencies = {{0x51, 7}, {0x52, 9}};
+    ASSERT_TRUE(cache->Put(a).ok());
+    ASSERT_TRUE(cache->Put(b).ok());
+  }
+  std::ifstream f(path, std::ios::binary);
+  const std::vector<uint8_t> file((std::istreambuf_iterator<char>(f)),
+                                  std::istreambuf_iterator<char>());
+  const size_t record_size = 24 + 8 * 2 + 16 * 2;
+  ASSERT_EQ(file.size(), 40 + 8 * record_size);
+  EXPECT_EQ(Hex(file, 0, 40),
+            "5043433101000000efcdab8967452301080000000200000002000000d8fa92af"
+            "0000000000000000");
+  std::string used;
+  for (size_t slot = 0; slot < 8; ++slot) {
+    const size_t off = 40 + slot * record_size;
+    if (file[off] == 0) continue;
+    used += std::to_string(slot) + ":" + Hex(file, off, record_size) + "\n";
+  }
+  EXPECT_EQ(used,
+            "0:"
+            "0100000012000000000000000100000002000000410000000000000000000000"
+            "0000000051000000000000000700000000000000520000000000000009000000"
+            "00000000f88ae5af"
+            "\n7:"
+            "0100000011000000000000000200000001000000210000000000000022000000"
+            "0000000031000000000000000500000000000000000000000000000000000000"
+            "00000000823447bf"
+            "\n");
   std::remove(path.c_str());
 }
 

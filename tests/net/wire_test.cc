@@ -213,6 +213,158 @@ TEST(WireTest, Crc32Chains) {
                   Crc32(std::span<const uint8_t>(a))));
 }
 
+std::string Hex(const std::vector<uint8_t>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xF];
+  }
+  return out;
+}
+
+/// STEP and DONE share this route state: 2 path entries, 1 eviction.
+WireRouteState GoldenRoute() {
+  WireRouteState s;
+  s.flags = WireRouteState::kFlagSuccess;
+  s.destination = 0x1122334455667788ULL;
+  s.hops = 3;
+  s.aux_hops = 1;
+  s.retries = 2;
+  s.dropped_forwards = 1;
+  s.failstop_skips = 4;
+  s.stale_forwards = 5;
+  s.latency_ms = 12.5;
+  s.path = {0xA1, 0xB2C3};
+  s.dead_evictions = {{0xD4, 0xE5F6}};
+  return s;
+}
+
+WireHop GoldenHop() {
+  WireHop h;
+  h.from = 0x0102;
+  h.to = 0x0304;
+  h.remaining = 0x0506;
+  h.latency_ms = 0.25;
+  h.kind = static_cast<uint8_t>(HopEntryKind::kAuxiliary);
+  h.flags = WireHop::kFlagRetried;
+  return h;
+}
+
+// Pins the wire format: one frame of each type with fixed field values. A
+// faster encoder or CRC must reproduce these bytes exactly.
+TEST(WireTest, GoldenFrameBytes) {
+  LookupReq req;
+  req.lookup_id = 0x0123456789ABCDEFULL;
+  req.client = kClientAddress;
+  req.origin = 0x42;
+  req.key = 0xFEDCBA9876543210ULL;
+  req.flags = LookupReq::kFlagTraced;
+  EXPECT_EQ(Hex(Encode(req)),
+            "504357310100010021000000d662936fefcdab8967452301ffffffffffffffff"
+            "42000000000000001032547698badcfe01");
+
+  LookupStep step;
+  step.lookup_id = 7;
+  step.client = kClientAddress;
+  step.origin = 0x42;
+  step.flags = LookupStep::kFlagTraced;
+  step.cursor.current = 0xA1;
+  step.cursor.key = 0xFEDC;
+  step.cursor.truth = 0xB2C3;
+  step.cursor.hops_taken = 2;
+  step.cursor.spent = 3;
+  step.cursor.attempt = 1;
+  step.cursor.flags = WireCursor::kFlagNumericMode;
+  step.route = GoldenRoute();
+  step.hops = {GoldenHop()};
+  EXPECT_EQ(Hex(Encode(step)),
+            "5043573101000200b50000008895dc5e0700000000000000ffffffffffffffff"
+            "420000000000000001a100000000000000dcfe000000000000c3b20000000000"
+            "0002000000030000000100000002018877665544332211030000000100000002"
+            "000000010000000400000005000000000000000000294002000000a100000000"
+            "000000c3b200000000000001000000d400000000000000f6e500000000000001"
+            "0000000201000000000000040300000000000006050000000000000000000000"
+            "00d03f0402");
+
+  LookupDone done;
+  done.lookup_id = 7;
+  done.client = kClientAddress;
+  done.origin = 0x42;
+  done.key = 0xFEDC;
+  done.status = static_cast<uint8_t>(LookupWireStatus::kOk);
+  done.flags = LookupDone::kFlagTraced;
+  done.route = GoldenRoute();
+  done.hops = {GoldenHop()};
+  EXPECT_EQ(Hex(Encode(done)),
+            "5043573101000300990000007bc0c1d30700000000000000ffffffffffffffff"
+            "4200000000000000dcfe00000000000000010188776655443322110300000001"
+            "00000002000000010000000400000005000000000000000000294002000000a1"
+            "00000000000000c3b200000000000001000000d400000000000000f6e5000000"
+            "0000000100000002010000000000000403000000000000060500000000000000"
+            "0000000000d03f0402");
+
+  EXPECT_EQ(Hex(Encode(Join{0x99})),
+            "504357310100040008000000fb8cbc6d9900000000000000");
+  EXPECT_EQ(Hex(Encode(Leave{0x99, 1})),
+            "5043573101000500090000006e4a6aeb990000000000000001");
+  EXPECT_EQ(Hex(Encode(Stabilize{kAllNodes})),
+            "504357310100060008000000f9e77bf8ffffffffffffffff");
+}
+
+/// Bit-at-a-time CRC-32 straight from the definition (reflected IEEE
+/// polynomial, inverted in and out): an oracle that shares no table or
+/// word-assembly code with Crc32.
+uint32_t ReferenceCrc32(const uint8_t* data, size_t len, uint32_t seed) {
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < len; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+    }
+  }
+  return ~crc;
+}
+
+TEST(WireTest, Crc32KnownAnswers) {
+  const std::string check = "123456789";
+  EXPECT_EQ(Crc32(std::span<const uint8_t>(
+                reinterpret_cast<const uint8_t*>(check.data()), check.size())),
+            0xCBF43926u);
+  for (uint32_t seed : {0u, 1u, 0xCBF43926u, 0xFFFFFFFFu}) {
+    EXPECT_EQ(Crc32(std::span<const uint8_t>(), seed), seed);
+  }
+}
+
+// Catches a CRC that is fast and self-consistent but wrong, which the
+// round-trip and bit-flip properties cannot see: every length 0-600 at
+// every start offset 0-7 matches the bit-at-a-time oracle under a random
+// seed, and chaining at every split point gives the same value.
+TEST(WireTest, Crc32MatchesBitwiseReference) {
+  Rng rng(0x5eed);
+  std::vector<uint8_t> buf(600 + 8);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.NextU64());
+  for (size_t len = 0; len <= 600; ++len) {
+    for (size_t offset = 0; offset < 8; ++offset) {
+      const uint32_t seed = static_cast<uint32_t>(rng.NextU64());
+      const uint8_t* data = buf.data() + offset;
+      ASSERT_EQ(Crc32(std::span<const uint8_t>(data, len), seed),
+                ReferenceCrc32(data, len, seed))
+          << "len " << len << " offset " << offset << " seed " << seed;
+    }
+    const uint32_t seed = static_cast<uint32_t>(rng.NextU64());
+    const uint8_t* data = buf.data() + len % 8;
+    const uint32_t whole = ReferenceCrc32(data, len, seed);
+    for (size_t split = 0; split <= len; ++split) {
+      const uint32_t head = Crc32(std::span<const uint8_t>(data, split), seed);
+      ASSERT_EQ(Crc32(std::span<const uint8_t>(data + split, len - split),
+                      head),
+                whole)
+          << "len " << len << " split " << split;
+    }
+  }
+}
+
 TEST(WireTest, RouteStatePackUnpackIsExact) {
   overlay::RouteResult r;
   r.success = true;
