@@ -29,8 +29,6 @@ namespace peercache::bench {
 ///                  phases shard node ranges across (0 = all hardware
 ///                  threads, 1 = serial; measured numbers are identical
 ///                  for every value)
-///   --batch        where supported (lookup_throughput), add rows routed
-///                  through the batched prefetch-pipelined lookup engine
 ///   --json-out F   write the figure as a schema-versioned JSON document
 ///   --log-level L  debug|info|warning|error (default warning)
 ///
@@ -61,7 +59,6 @@ struct BenchArgs {
   int seeds = 1;
   uint64_t base_seed = 1;
   int threads = 0;
-  bool batch = false;
   std::string json_out;
   fault::FaultConfig faults;
   latency::LatencyConfig latency;
@@ -80,8 +77,6 @@ struct BenchArgs {
         args.base_seed = static_cast<uint64_t>(std::atoll(argv[++i]));
       } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
         args.threads = std::atoi(argv[++i]);
-      } else if (std::strcmp(argv[i], "--batch") == 0) {
-        args.batch = true;
       } else if (std::strcmp(argv[i], "--json-out") == 0 && i + 1 < argc) {
         args.json_out = argv[++i];
       } else if (std::strcmp(argv[i], "--fault-drop") == 0 && i + 1 < argc) {
@@ -135,7 +130,7 @@ struct BenchArgs {
       } else {
         std::fprintf(stderr,
                      "usage: %s [--quick] [--seeds N] [--seed S] [--threads T]"
-                     " [--batch] [--json-out FILE] [--fault-drop P]"
+                     " [--json-out FILE] [--fault-drop P]"
                      " [--fault-fail P]"
                      " [--fault-stale P] [--fault-seed S] [--fault-retries N]"
                      " [--no-fault-retries] [--latency-base MS]"

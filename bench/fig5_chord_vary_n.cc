@@ -94,19 +94,11 @@ int main(int argc, char** argv) {
       "\nFigure 5 — Chord: improvement vs n (k = log2 n), high churn", "n");
   for (int n : sizes) {
     if (args.quick && n > 256) continue;
-    // The committed figure rows were generated by the legacy full-rebuild
-    // recompute rounds; pin FreqMode::kPool so regenerated documents stay
-    // comparable (the golden differential test replays this row).
-    auto churn_config = [&](uint64_t seed) {
-      ExperimentConfig cfg = MakeConfig(seed, n, args);
-      cfg.freq_mode = FreqMode::kPool;
-      return cfg;
-    };
     auto compare = [&](uint64_t seed) {
       ChurnConfig churn;  // paper's parameters by default
       churn.warmup_s = args.quick ? 1200 : 3600;
       churn.measure_s = args.quick ? 1200 : 3600;
-      return CompareChurn<ChordPolicy>(churn_config(seed), churn);
+      return CompareChurn<ChordPolicy>(MakeConfig(seed, n, args), churn);
     };
     char label[64];
     std::snprintf(label, sizeof(label), "n=%-5d churn", n);
@@ -114,7 +106,7 @@ int main(int argc, char** argv) {
                                 PaperReference(n, /*churn=*/true));
     PrintFigureRow(row);
     traces.AddRow(row);
-    json.AddRow(row, "churn", churn_config(args.base_seed));
+    json.AddRow(row, "churn", MakeConfig(args.base_seed, n, args));
   }
   const int json_rc = json.WriteIfRequested(args);
   const int trace_rc = traces.WriteIfRequested(args);

@@ -90,18 +90,12 @@ int main(int argc, char** argv) {
       "\nFigure 6 — Chord: improvement vs k (n = 1024), high churn", "k");
   for (int multiple = 1; multiple <= 3; ++multiple) {
     if (args.quick && multiple == 2) continue;
-    // Committed rows predate the incremental maintainer path: pin the
-    // legacy full-rebuild rounds (see fig5_chord_vary_n.cc).
-    auto churn_config = [&](uint64_t seed) {
-      ExperimentConfig cfg = MakeConfig(seed, multiple * log_n, args);
-      cfg.freq_mode = FreqMode::kPool;
-      return cfg;
-    };
     auto compare = [&](uint64_t seed) {
       ChurnConfig churn;
       churn.warmup_s = args.quick ? 1200 : 3600;
       churn.measure_s = args.quick ? 1200 : 3600;
-      return CompareChurn<ChordPolicy>(churn_config(seed), churn);
+      return CompareChurn<ChordPolicy>(MakeConfig(seed, multiple * log_n, args),
+                                       churn);
     };
     char label[64];
     std::snprintf(label, sizeof(label), "k=%dlogn=%-3d churn", multiple,
@@ -110,7 +104,8 @@ int main(int argc, char** argv) {
                                 PaperReference(multiple, /*churn=*/true));
     PrintFigureRow(row);
     traces.AddRow(row);
-    json.AddRow(row, "churn", churn_config(args.base_seed));
+    json.AddRow(row, "churn",
+                MakeConfig(args.base_seed, multiple * log_n, args));
   }
   const int json_rc = json.WriteIfRequested(args);
   const int trace_rc = traces.WriteIfRequested(args);

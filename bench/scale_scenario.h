@@ -48,12 +48,10 @@ struct ScaleRow {
   // Deterministic outcome fields (byte-compared by the golden test).
   double mean_hops = 0;
   double success_rate = 0;
-  uint64_t checksum = 0;       ///< lookup_throughput's job-order fold.
+  uint64_t checksum = 0;       ///< FoldChecksum's job-order fold.
   double predicted_hops = 0;   ///< 0.5 * log2(n), the O(log n) yardstick.
   double hops_vs_predicted = 0;
-  // Memory accounting: exact allocated bytes. bytes_per_node is excluded
-  // from golden byte-comparison only because the committed document
-  // predates the flat id→slot index (it recorded the old hash map's bytes).
+  // Memory accounting: exact allocated bytes.
   double bytes_per_node = 0;
   uint64_t table_bytes = 0;
   uint64_t arena_bytes = 0;
@@ -67,9 +65,8 @@ struct ScaleRow {
   bool checksums_agree = false;
 };
 
-/// Draws the job list exactly as bench/lookup_throughput draws its query
-/// stream (same RNG stream constant), so the unbatched pass is the
-/// reference loop's behaviour verbatim.
+/// Draws the job list: uniform live origins and uniform keys from one
+/// stream split off the measurement seed.
 inline std::vector<experiments::LookupJob> MakeScaleJobs(
     const std::vector<uint64_t>& live, int bits, uint64_t measure_seed,
     uint64_t lookups) {
@@ -139,7 +136,7 @@ ScaleRow MeasureScalePoint(int log2_n, uint64_t lookups, uint64_t seed,
   const std::vector<experiments::LookupJob> jobs =
       MakeScaleJobs(live, cfg.bits, seeds.measure, lookups);
 
-  // Unbatched reference pass: bench/lookup_throughput's loop verbatim.
+  // Unbatched reference pass: one LookupInto per job.
   uint64_t ref_checksum = 0, ref_hops = 0, ref_successes = 0;
   {
     overlay::RouteResult route;

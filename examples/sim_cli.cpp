@@ -44,7 +44,6 @@ struct Args {
   std::string json_out;
   std::string trace_out;
   int trace_sample = 0;  // 0 = pick a default when --trace-out is given
-  std::string freq_mode = "observed";
   int audit_period = 4;
   int freq_sketch_top = 0;  // 0 = exact tables (sketch mode off)
   int sketch_width = 64;
@@ -70,7 +69,7 @@ struct Args {
         "          [--alpha A] [--items I] [--lists L] [--seed S]\n"
         "          [--duration SECONDS] [--threads T]\n"
         "          [--json-out FILE] [--trace-out FILE] [--trace-sample P]\n"
-        "          [--freq-mode pool|observed] [--audit-period N]\n"
+        "          [--audit-period N]\n"
         "          [--freq-sketch TOP] [--sketch-width W] [--sketch-depth D]\n"
         "          [--drift none|rank-shuffle|flash-crowd] [--drift-period Q]\n"
         "          [--drift-fraction F] [--drift-boost B] [--drift-seed S]\n"
@@ -87,15 +86,9 @@ struct Args {
         "                    ranges across (0 = all hardware threads,\n"
         "                    1 = serial; telemetry is byte-identical for\n"
         "                    every value)\n"
-        "  --freq-mode M     churn recompute rounds: 'observed' (default)\n"
-        "                    keeps persistent per-node maintainers and\n"
-        "                    applies only each round's deltas; 'pool'\n"
-        "                    rebuilds every selection from a full frequency\n"
-        "                    snapshot (the legacy behaviour the committed\n"
-        "                    churn figures were generated with)\n"
-        "  --audit-period N  cross-check incremental selections against\n"
-        "                    from-scratch builds every Nth round (observed\n"
-        "                    mode; default 4, 0 = never)\n"
+        "  --audit-period N  cross-check the churn maintainers' incremental\n"
+        "                    selections against full rebuilds every Nth\n"
+        "                    round (default 4, 0 = never)\n"
         "  --freq-sketch TOP bounded-memory frequency tables: TOP heavy-\n"
         "                    hitter slots (space-saving) plus a count-min\n"
         "                    sketch for the tail; 0 = exact tables (default,\n"
@@ -117,7 +110,7 @@ struct Args {
         "  --budget-gamma G  redistribute the global auxiliary budget n*k\n"
         "                    across nodes proportional to capacity^G\n"
         "                    (Pareto-distributed capacities; 0 = uniform k\n"
-        "                    per node, the default)\n"
+        "                    per node, the default). Stable runs only\n"
         "  --budget-seed S   seed of the per-node capacities (default 7)\n"
         "  --json-out FILE   write a schema-versioned telemetry document\n"
         "  --trace-out FILE  write sampled route traces as JSONL\n"
@@ -188,8 +181,6 @@ struct Args {
         a.trace_out = next("--trace-out");
       } else if (!std::strcmp(argv[i], "--trace-sample")) {
         a.trace_sample = std::atoi(next("--trace-sample"));
-      } else if (!std::strcmp(argv[i], "--freq-mode")) {
-        a.freq_mode = next("--freq-mode");
       } else if (!std::strcmp(argv[i], "--audit-period")) {
         a.audit_period = std::atoi(next("--audit-period"));
       } else if (!std::strcmp(argv[i], "--freq-sketch")) {
@@ -259,7 +250,12 @@ struct Args {
         a.system != "kademlia") {
       Usage(argv[0]);
     }
-    if (a.freq_mode != "pool" && a.freq_mode != "observed") Usage(argv[0]);
+    // The churn maintainers keep uniform k, so heterogeneous budgets would
+    // give the optimal and oblivious arms unequal budgets.
+    if (a.churn && a.budget_gamma > 0.0) {
+      std::fprintf(stderr, "--budget-gamma applies to stable runs only\n");
+      Usage(argv[0]);
+    }
     if (a.freq_sketch_top < 0 || a.sketch_width < 2 || a.sketch_depth < 1) {
       Usage(argv[0]);
     }
@@ -288,8 +284,6 @@ int main(int argc, char** argv) {
   cfg.seed = args.seed;
   cfg.threads = args.threads;
   cfg.trace_sample_period = args.trace_sample;
-  cfg.freq_mode =
-      args.freq_mode == "pool" ? FreqMode::kPool : FreqMode::kObserved;
   cfg.maintenance_audit_period = args.audit_period;
   cfg.faults = args.faults;
   cfg.latency = args.latency;

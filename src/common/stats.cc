@@ -117,27 +117,6 @@ double Histogram::Mean() const {
                      : static_cast<double>(sum_) / static_cast<double>(count_);
 }
 
-int Histogram::ValueAtRank(uint64_t rank) const {
-  uint64_t acc = 0;
-  for (size_t v = 0; v < buckets_.size(); ++v) {
-    acc += buckets_[v];
-    if (acc > rank) return static_cast<int>(v);
-  }
-  return static_cast<int>(buckets_.size());  // overflow bucket
-}
-
-double Histogram::Percentile(double q) const {
-  assert(q >= 0.0 && q <= 1.0);
-  if (count_ == 0) return 0.0;
-  const double rank = q * static_cast<double>(count_ - 1);
-  const uint64_t lo_rank = static_cast<uint64_t>(rank);
-  const double frac = rank - static_cast<double>(lo_rank);
-  const int lo = ValueAtRank(lo_rank);
-  if (frac == 0.0) return static_cast<double>(lo);
-  const int hi = ValueAtRank(lo_rank + 1);
-  return static_cast<double>(lo) + frac * static_cast<double>(hi - lo);
-}
-
 int Histogram::PercentileRank(double q) const {
   assert(q >= 0.0 && q <= 1.0);
   if (count_ == 0) return 0;

@@ -51,24 +51,16 @@ class Histogram {
   int max_value() const { return static_cast<int>(buckets_.size()) - 1; }
   int64_t sum() const { return sum_; }
   double Mean() const;
-  /// Rank-interpolated quantile (the "linear" convention): the continuous
-  /// rank q*(count-1) is split between the two nearest samples. p0 is the
-  /// minimum, p100 the maximum, a single sample answers every q, and an
-  /// empty histogram reports 0. Overflow mass sits at max_value()+1.
-  double Percentile(double q) const;
-  /// Legacy nearest-rank quantile: the smallest v such that at least q of
-  /// the mass is <= v. Overflow mass reports as max_value()+1. This is the
-  /// form serialized into the committed telemetry documents.
+  /// Nearest-rank quantile: the smallest v such that at least q of the
+  /// mass is <= v, so every answer is an observed value. q = 0 reports the
+  /// minimum, q = 1 the maximum, and an empty histogram 0. Overflow mass
+  /// reports as max_value()+1.
   int PercentileRank(double q) const;
 
   /// One-line textual rendering "mean=… p50=… p99=… max_bucket=…".
   std::string Summary() const;
 
  private:
-  /// Value (bucket index, or max_value()+1 for overflow) holding the
-  /// 0-based rank-th sample in sorted order.
-  int ValueAtRank(uint64_t rank) const;
-
   std::vector<uint64_t> buckets_;
   uint64_t overflow_ = 0;
   uint64_t count_ = 0;

@@ -27,7 +27,7 @@
 /// slot and depends only on (origin, key, overlay state), so results are
 /// independent of the window size, the interleaving, and the thread count.
 /// Checksums are folded serially in job order afterwards (FoldChecksum),
-/// matching bench/lookup_throughput's per-lookup fold bit for bit.
+/// matching an unbatched LookupInto loop's per-lookup fold bit for bit.
 namespace peercache::experiments {
 
 /// One lookup to route: `origin` must name a node (dead origins fail the
@@ -58,9 +58,9 @@ struct BatchSummary {
   uint64_t sum_aux_hops = 0;
 };
 
-/// Folds results in job order with bench/lookup_throughput's checksum
-/// recurrence, so a batched run and the unbatched reference loop over the
-/// same jobs produce the same checksum.
+/// Folds results in job order with the checksum recurrence
+/// MixHash64(checksum ^ destination ^ hops << 32), so a batched run and an
+/// unbatched reference loop over the same jobs produce the same checksum.
 inline BatchSummary FoldChecksum(std::span<const BatchLookupResult> results) {
   BatchSummary sum;
   for (const BatchLookupResult& r : results) {

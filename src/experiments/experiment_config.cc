@@ -22,16 +22,6 @@ const char* SelectorKindName(SelectorKind kind) {
   return "?";
 }
 
-const char* FreqModeName(FreqMode mode) {
-  switch (mode) {
-    case FreqMode::kPool:
-      return "pool";
-    case FreqMode::kObserved:
-      return "observed";
-  }
-  return "?";
-}
-
 std::vector<int> ComputeAuxiliaryBudgets(const ExperimentConfig& config,
                                          const std::vector<uint64_t>& ids) {
   const size_t n = ids.size();

@@ -35,24 +35,6 @@ enum class SelectorKind {
 
 const char* SelectorKindName(SelectorKind kind);
 
-/// How the churn-mode recompute rounds obtain the frequency state that
-/// drives the optimal policy (stable runs always select once from the
-/// warmup snapshot, so the mode only matters under churn).
-enum class FreqMode {
-  /// Legacy behaviour: every round rebuilds each node's selection from a
-  /// full FrequencyTable snapshot (departed peers keep their counts until
-  /// the table itself drops them). Reproduces the committed results/
-  /// churn figures byte-for-byte.
-  kPool,
-  /// Persistent per-node maintainers (auxsel/maintainer.h): each round
-  /// applies only the join/leave/frequency deltas since the previous one,
-  /// departed peers are forgotten, and periodic audits assert the
-  /// incremental selection is cost-equal to a from-scratch rebuild.
-  kObserved,
-};
-
-const char* FreqModeName(FreqMode mode);
-
 /// Parameters shared by every experiment (paper Sec. VI-A defaults).
 struct ExperimentConfig {
   int bits = 32;           ///< 32-bit ids, as in the paper.
@@ -87,8 +69,9 @@ struct ExperimentConfig {
   /// redistributed across nodes proportionally to c_i^budget_gamma, where
   /// c_i is a seeded per-node Pareto capacity — instead of a fixed k per
   /// node. 0 (default) keeps uniform budgets and byte-identical telemetry.
-  /// Applies to the stable-mode selection pass and the churn kPool rebuild
-  /// path; the incremental maintainers keep uniform k.
+  /// Stable runs only: under churn the optimal arm's incremental
+  /// maintainers keep uniform k, so RunChurn rejects budget_gamma > 0
+  /// rather than compare arms with unequal budgets.
   double budget_gamma = 0.0;
   uint64_t budget_seed = 7;
   /// Chord successor-list length. The paper's Chord variant keeps only the
@@ -108,14 +91,10 @@ struct ExperimentConfig {
   /// RunResult::traces in node order, so they too are thread-count
   /// invariant. See docs/OBSERVABILITY.md.
   int trace_sample_period = 0;
-  /// Churn-mode frequency handling (see FreqMode). The maintainer path is
-  /// the default; FreqMode::kPool pins the legacy full-rebuild rounds that
-  /// generated the committed churn figures.
-  FreqMode freq_mode = FreqMode::kObserved;
   /// Every Nth churn recompute round (round 0 counts) cross-checks each
   /// node's incremental selection against a from-scratch build of the same
-  /// input and fails the run on a cost mismatch. kObserved only; 0 = never
-  /// audit.
+  /// input and fails the run on a cost mismatch. Applies to the optimal
+  /// policy's churn maintainers; 0 = never audit.
   int maintenance_audit_period = 4;
   /// Fault-injection knobs (common/fault.h). All probabilities default to
   /// zero, which disables injection entirely: the engine then routes over
@@ -159,8 +138,8 @@ struct ChurnConfig {
   double measure_s = 3600.0;         ///< Measurement window.
 };
 
-/// Per-round bookkeeping of the incremental churn-maintenance path
-/// (FreqMode::kObserved): how many deltas of each kind the round applied
+/// Per-round bookkeeping of the optimal policy's incremental churn
+/// maintainers: how many deltas of each kind the round applied
 /// and how long the parallel application took. Every field except
 /// `seconds` is a pure function of (seed, config) at any thread count.
 struct MaintenanceRoundStats {
@@ -245,7 +224,7 @@ struct RunResult {
   /// made identical selections.
   std::vector<std::pair<uint64_t, std::vector<uint64_t>>> node_auxiliaries;
   /// Wall-clock phase timings (seconds); the selection phase is the target
-  /// of the parallel engine and is reported by bench/parallel_scaling.
+  /// of the parallel engine.
   double warmup_seconds = 0.0;
   double selection_seconds = 0.0;
   double measure_seconds = 0.0;
@@ -266,9 +245,9 @@ struct RunResult {
   /// phase timers above; serialized into every --json-out document.
   MetricsShard metrics;
   /// One entry per churn recompute round on the incremental maintenance
-  /// path (empty for stable runs, non-optimal policies, and
-  /// FreqMode::kPool). Totals surface as `maintain.*` counters in
-  /// `metrics` and as the telemetry document's "maintenance" block.
+  /// path (empty for stable runs and non-optimal policies). Totals surface
+  /// as `maintain.*` counters in `metrics` and as the telemetry document's
+  /// "maintenance" block.
   std::vector<MaintenanceRoundStats> maintenance_rounds;
   /// True iff this run routed its measured lookups under an enabled
   /// fault::FaultPlan. Gates `resilience` below, the `resilience.*` metric

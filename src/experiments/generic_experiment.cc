@@ -141,9 +141,8 @@ Status InstallAuxiliaries(typename Policy::Network& net, uint64_t node_id,
 /// then installs them serially in node order (the table arena's
 /// single-writer contract — and serial installs make arena layout, hence
 /// memory telemetry, independent of thread count). Shared by the stable
-/// path's single selection pass and the legacy (FreqMode::kPool) churn
-/// recompute rounds — they were the same code copied twice before this
-/// helper existed.
+/// path's single selection pass and the churn recompute rounds of every
+/// policy without a maintainer.
 template <typename Policy>
 Status InstallRound(ThreadPool& pool, typename Policy::Network& net,
                     const std::vector<uint64_t>& ids, SelectorKind selector,
@@ -183,7 +182,7 @@ latency::LatencyModel MakeLatencyModel(const ExperimentConfig& config) {
   return latency::LatencyModel(config.latency);
 }
 
-/// Persistent per-node maintenance state of the FreqMode::kObserved churn
+/// Persistent per-node maintenance state of the optimal policy's churn
 /// path: one Policy::Maintainer per node ever seen live, surviving across
 /// recompute rounds, plus the global departure log nodes catch up on.
 /// Entries are created in a serial pre-pass before each round's parallel
@@ -562,6 +561,11 @@ Result<RunResult> RunStable(const ExperimentConfig& config,
 template <typename Policy>
 Result<RunResult> RunChurn(const ExperimentConfig& config,
                            const ChurnConfig& churn, SelectorKind selector) {
+  if (config.budget_gamma > 0.0) {
+    return Status::InvalidArgument(
+        "heterogeneous budgets (budget_gamma > 0) are stable-only: the "
+        "churn maintainers keep uniform k");
+  }
   const SeedPlan seeds = Policy::MakeSeedPlan(config.seed);
   typename Policy::Network net = Policy::MakeNetwork(config, seeds);
 
@@ -627,15 +631,14 @@ Result<RunResult> RunChurn(const ExperimentConfig& config,
   // results depend on (seed, round, node), never on thread interleaving.
   //
   // Two round implementations share this scheduling shell:
-  //  * the incremental maintainer path (optimal policy under
-  //    FreqMode::kObserved): persistent per-node selector state updated
-  //    with this round's join/leave/frequency deltas only;
-  //  * the legacy full-rebuild path (everything else): each node's
-  //    selection rebuilt from scratch via InstallRound.
+  //  * the optimal policy's incremental maintainers: persistent per-node
+  //    selector state updated with this round's join/leave/frequency
+  //    deltas only;
+  //  * every other policy: each node's selection rebuilt in full via
+  //    InstallRound.
   // A failed round (including a failed maintenance audit) stops further
   // recomputation and fails the run after the event loop drains.
-  const bool use_maintainers = selector == SelectorKind::kOptimal &&
-                               config.freq_mode == FreqMode::kObserved;
+  const bool use_maintainers = selector == SelectorKind::kOptimal;
   MaintenanceState<Policy> maint;
   if (use_maintainers) {
     maint.prev_live = net.LiveNodeIds();

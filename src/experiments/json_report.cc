@@ -30,8 +30,7 @@ void WriteHistogramJson(JsonWriter& w, const Histogram& h) {
   w.UInt(h.count());
   w.Key("mean");
   w.Double(h.Mean());
-  // Nearest-rank percentiles: the interpolated Histogram::Percentile would
-  // change every committed hop_histogram byte-for-byte.
+  // Nearest-rank percentiles: each one is an observed hop count.
   w.Key("p50");
   w.Int(h.PercentileRank(0.50));
   w.Key("p95");
@@ -85,8 +84,6 @@ void WriteConfigJson(JsonWriter& w, const ExperimentConfig& config) {
   w.Int(config.threads);
   w.Key("trace_sample_period");
   w.Int(config.trace_sample_period);
-  w.Key("freq_mode");
-  w.String(FreqModeName(config.freq_mode));
   w.Key("maintenance_audit_period");
   w.Int(config.maintenance_audit_period);
   // Fault-injection knobs appear only when injection is enabled: fault-free
@@ -253,8 +250,8 @@ void WriteRunResultJson(JsonWriter& w, const RunResult& result) {
   }
   w.Key("sampled_traces");
   w.UInt(result.traces.size());
-  // Incremental churn-maintenance telemetry (FreqMode::kObserved runs
-  // only; empty otherwise). Per-round "seconds" is the single wall-clock
+  // Incremental churn-maintenance telemetry (the optimal policy under
+  // churn only; empty otherwise). Per-round "seconds" is the single wall-clock
   // field — determinism comparisons must strip it, like phase_seconds.
   w.Key("maintenance");
   {
@@ -345,9 +342,10 @@ void WriteRunResultJson(JsonWriter& w, const RunResult& result) {
   }
   // Memory footprint (config.report_memory only — docs/OBSERVABILITY.md).
   // Arena mutations are serial, so these bytes are thread-count invariant.
-  // bytes_per_node also counts vector capacities, whose growth policy
-  // varies across standard libraries, so cross-toolchain comparisons should
-  // prefer table_bytes/arena_bytes.
+  // bytes_per_node also counts node records and vector capacities, whose
+  // sizes belong to the standard library: the committed scale-frontier
+  // golden pins them for the toolchain that wrote it, and cross-toolchain
+  // comparisons should prefer table_bytes/arena_bytes.
   if (result.memory_enabled) {
     w.Key("memory");
     w.BeginObject();

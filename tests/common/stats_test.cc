@@ -101,25 +101,12 @@ TEST(Histogram, BasicCountsAndMean) {
 TEST(Histogram, Percentiles) {
   Histogram h(20);
   for (int v = 1; v <= 100; ++v) h.Add(v % 10);
-  EXPECT_DOUBLE_EQ(h.Percentile(0.0), 0.0);
-  // 100 samples, 10 each of 0..9: the continuous rank 49.5 sits exactly
-  // between the last 4 and the first 5.
-  EXPECT_DOUBLE_EQ(h.Percentile(0.5), 4.5);
-  EXPECT_DOUBLE_EQ(h.Percentile(1.0), 9.0);
-  // The legacy nearest-rank form (serialized into committed telemetry)
-  // stays integral: smallest v with >= q of the mass at or below it.
+  // 100 samples, 10 each of 0..9: the smallest v with >= q of the mass at
+  // or below it.
+  EXPECT_EQ(h.PercentileRank(0.0), 0);
   EXPECT_EQ(h.PercentileRank(0.5), 4);
   EXPECT_EQ(h.PercentileRank(0.99), 9);
   EXPECT_EQ(h.PercentileRank(1.0), 9);
-}
-
-// The interpolated value moves linearly between adjacent samples: with
-// {1, 2, 3, 4} the median is 2.5 and p75 lands at rank 2.25.
-TEST(Histogram, PercentileInterpolatesBetweenSamples) {
-  Histogram h(8);
-  for (int v : {1, 2, 3, 4}) h.Add(v);
-  EXPECT_DOUBLE_EQ(h.Percentile(0.5), 2.5);
-  EXPECT_DOUBLE_EQ(h.Percentile(0.75), 3.25);
 }
 
 TEST(Histogram, PercentileRankEdgeCases) {
@@ -144,9 +131,9 @@ TEST(Histogram, Overflow) {
 
 TEST(Histogram, PercentileOfEmptyIsZero) {
   Histogram h(8);
-  EXPECT_EQ(h.Percentile(0.0), 0);
-  EXPECT_EQ(h.Percentile(0.5), 0);
-  EXPECT_EQ(h.Percentile(1.0), 0);
+  EXPECT_EQ(h.PercentileRank(0.0), 0);
+  EXPECT_EQ(h.PercentileRank(0.5), 0);
+  EXPECT_EQ(h.PercentileRank(1.0), 0);
 }
 
 // q = 0 asks for the smallest observed value, not bucket 0.
@@ -154,7 +141,7 @@ TEST(Histogram, PercentileZeroIsMinimum) {
   Histogram h(8);
   h.Add(3);
   h.Add(5);
-  EXPECT_EQ(h.Percentile(0.0), 3);
+  EXPECT_EQ(h.PercentileRank(0.0), 3);
 }
 
 // q = 1 asks for the largest observed value.
@@ -162,15 +149,15 @@ TEST(Histogram, PercentileOneIsMaximum) {
   Histogram h(8);
   h.Add(3);
   h.Add(5);
-  EXPECT_EQ(h.Percentile(1.0), 5);
+  EXPECT_EQ(h.PercentileRank(1.0), 5);
 }
 
 TEST(Histogram, PercentileSingleValue) {
   Histogram h(8);
   h.Add(4);
-  EXPECT_EQ(h.Percentile(0.0), 4);
-  EXPECT_EQ(h.Percentile(0.5), 4);
-  EXPECT_EQ(h.Percentile(1.0), 4);
+  EXPECT_EQ(h.PercentileRank(0.0), 4);
+  EXPECT_EQ(h.PercentileRank(0.5), 4);
+  EXPECT_EQ(h.PercentileRank(1.0), 4);
 }
 
 // When every sample overflowed, the only honest answer is the sentinel one
@@ -180,19 +167,18 @@ TEST(Histogram, PercentileAllOverflow) {
   h.Add(50);
   h.Add(60);
   EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.Percentile(0.5), 5);  // == max_value() + 1
-  EXPECT_EQ(h.Percentile(0.5), h.max_value() + 1);
+  EXPECT_EQ(h.PercentileRank(0.5), 5);  // == max_value() + 1
+  EXPECT_EQ(h.PercentileRank(0.5), h.max_value() + 1);
 }
 
 TEST(Histogram, PercentileMixedOverflow) {
   Histogram h(4);
   h.Add(1);
   h.Add(50);
-  // Interpolation splits the median between the sample at 1 and the
+  // The median is the tracked sample; only the top rank reaches the
   // overflow sentinel at max_value() + 1 = 5.
-  EXPECT_DOUBLE_EQ(h.Percentile(0.5), 3.0);
-  EXPECT_DOUBLE_EQ(h.Percentile(1.0), 5.0);  // overflow sentinel
-  EXPECT_EQ(h.PercentileRank(0.5), 1);       // nearest-rank stays sharp
+  EXPECT_EQ(h.PercentileRank(0.5), 1);
+  EXPECT_EQ(h.PercentileRank(1.0), 5);
 }
 
 TEST(Histogram, SumTracksExactTotal) {

@@ -23,8 +23,7 @@ std::string ReadCommittedCorpus() {
       std::string(PEERCACHE_RESULTS_DIR) + "/fault_corpus.json";
   std::ifstream in(path);
   EXPECT_TRUE(in.good()) << "missing committed corpus " << path
-                         << " — regenerate with fault_resilience "
-                            "--corpus-out results/fault_corpus.json";
+                         << " — regenerate with results/regenerate.sh";
   std::ostringstream out;
   out << in.rdbuf();
   return out.str();
@@ -39,7 +38,8 @@ TEST_P(FaultCorpusDifferential, RegeneratesCommittedBytes) {
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
   // The committed file ends with a newline the writer does not emit.
   EXPECT_EQ(*doc + "\n", golden)
-      << "fault corpus diverged at threads=" << GetParam();
+      << "fault corpus diverged at threads=" << GetParam()
+      << "; if the change is intended, rerun results/regenerate.sh";
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, FaultCorpusDifferential,

@@ -1,8 +1,9 @@
 // Golden-file differential test for the generic experiment engine: the
-// cheapest row of each committed figure document (results/fig3..6.json,
-// generated by the pre-refactor per-overlay drivers with --seeds 2) must be
-// reproduced byte-identically — every deterministic row field formats to
-// the exact string stored in the golden file, at thread counts 1 and 4.
+// cheapest row of each committed figure document (results/fig3..6.json and
+// results/kademlia_vary_{n,k}.json, written by results/regenerate.sh with
+// --seeds 2) must be reproduced byte-identically — every deterministic row
+// field formats to the exact string stored in the golden file, at thread
+// counts 1 and 4.
 //
 // Wall-clock timings inside the documents (phase_seconds, timers) are the
 // only non-deterministic fields; the comparison therefore targets the
@@ -155,10 +156,6 @@ TEST_P(GoldenFigures, Fig5ChordN128StableAndChurn) {
       "n=128 stable", "");
   ExpectRowMatchesGolden(stable, doc, "n=128   stable");
 
-  // The committed churn rows predate the incremental maintainer path:
-  // they were generated by full-rebuild recompute rounds over complete
-  // frequency snapshots, which FreqMode::kPool pins exactly.
-  cfg.freq_mode = FreqMode::kPool;
   FigureRow churn_row = AveragedRow(
       args,
       [&](uint64_t seed) {
@@ -195,10 +192,7 @@ TEST_P(GoldenFigures, Fig6ChordK10Stable) {
   ExpectRowMatchesGolden(row, doc, "k=1logn=10  stable");
 }
 
-// Kademlia sweep rows n=128 stable and n=128 churn. Unlike the Chord/Pastry
-// goldens these were generated through the generic engine from day one, so
-// the churn row replays with the default incremental (observed-frequency)
-// maintainer path — no FreqMode::kPool pinning.
+// Kademlia sweep rows n=128 stable and n=128 churn.
 TEST_P(GoldenFigures, KademliaVaryN128StableAndChurn) {
   const std::string doc = ReadGolden("kademlia_vary_n.json");
   const BenchArgs args = GoldenArgs(GetParam());

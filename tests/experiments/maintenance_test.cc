@@ -1,8 +1,8 @@
-// End-to-end tests of the incremental churn-maintenance path
-// (FreqMode::kObserved): persistent per-node maintainers must survive an
-// entire churned run with the full-rebuild audit enabled on every round,
-// stay thread-count invariant, populate the maintain.* telemetry, and
-// leave the legacy FreqMode::kPool rounds byte-compatible and metric-free.
+// End-to-end tests of the optimal policy's incremental churn maintenance:
+// persistent per-node maintainers must survive an entire churned run with
+// the full-rebuild audit enabled on every round, stay thread-count
+// invariant, and populate the maintain.* telemetry; the other policies run
+// no maintainers, and heterogeneous budgets are rejected under churn.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +21,6 @@ ExperimentConfig MaintConfig(uint64_t seed) {
   cfg.n_items = 128;
   cfg.seed = seed;
   cfg.threads = 1;
-  cfg.freq_mode = FreqMode::kObserved;
   cfg.maintenance_audit_period = 1;  // audit every recompute round
   return cfg;
 }
@@ -135,18 +134,7 @@ TEST(Maintenance, AuditPeriodGatesWhichRoundsAreChecked) {
   EXPECT_EQ(result->node_auxiliaries, unaudited->node_auxiliaries);
 }
 
-TEST(Maintenance, PoolModeProducesNoMaintenanceTelemetry) {
-  ExperimentConfig cfg = MaintConfig(0x55);
-  cfg.freq_mode = FreqMode::kPool;
-  auto result = RunChurn<ChordPolicy>(cfg, ShortChurn(),
-                                      SelectorKind::kOptimal);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_TRUE(result->maintenance_rounds.empty());
-  EXPECT_EQ(result->metrics.counter("maintain.rounds"), 0u);
-  EXPECT_GT(result->queries, 0u);
-}
-
-TEST(Maintenance, NonOptimalPoliciesIgnoreFreqMode) {
+TEST(Maintenance, NonOptimalPoliciesRunNoMaintainers) {
   ExperimentConfig cfg = MaintConfig(0x56);
   auto oblivious = RunChurn<ChordPolicy>(cfg, ShortChurn(),
                                          SelectorKind::kOblivious);
@@ -157,9 +145,19 @@ TEST(Maintenance, NonOptimalPoliciesIgnoreFreqMode) {
   EXPECT_TRUE(none->maintenance_rounds.empty());
 }
 
-TEST(Maintenance, FreqModeNamesRoundTrip) {
-  EXPECT_STREQ(FreqModeName(FreqMode::kPool), "pool");
-  EXPECT_STREQ(FreqModeName(FreqMode::kObserved), "observed");
+// The maintainers keep uniform k, so heterogeneous budgets under churn
+// would hand the oblivious and optimal arms unequal budgets: every policy
+// refuses them rather than run an unequal comparison.
+TEST(Maintenance, ChurnRejectsHeterogeneousBudgets) {
+  ExperimentConfig cfg = MaintConfig(0x57);
+  cfg.budget_gamma = 1.5;
+  for (SelectorKind selector : {SelectorKind::kNone, SelectorKind::kOblivious,
+                                SelectorKind::kOptimal}) {
+    auto result = RunChurn<ChordPolicy>(cfg, ShortChurn(), selector);
+    ASSERT_FALSE(result.ok()) << SelectorKindName(selector);
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << SelectorKindName(selector);
+  }
 }
 
 }  // namespace
