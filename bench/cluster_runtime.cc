@@ -261,8 +261,9 @@ bool RunCluster(const bench::BenchArgs& bench_args, const ClusterArgs& cargs,
   net.StabilizeAll();
   const double build_seconds = Seconds(t_start);
 
-  // Warmup: every actor learns its query-answering peers (batched
-  // ResponsibleCursor engine; byte-identical at any thread count).
+  // Warmup: every actor learns its query-answering peers (each item
+  // resolved once, then per-actor draws; byte-identical at any thread
+  // count).
   const auto t_warm = std::chrono::steady_clock::now();
   const int threads = bench_args.threads <= 0 ? 1 : bench_args.threads;
   experiments::WorkloadBundle workload(config, seeds, ids);

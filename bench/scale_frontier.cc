@@ -1,13 +1,14 @@
 // Million-node scale frontier: sweeps each overlay from 2^14 to 2^20 nodes
-// and reports, per (overlay, n) point, lookups per second for the
-// unbatched LookupInto reference loop and the batched prefetch-pipelined
-// cursor engine, bytes per node out of the NodeStore/FlatTableArena
-// accounting, and mean hops against the 0.5*log2(n) yardstick. The batched
-// and unbatched passes route the identical job list and must agree on
-// every outcome (the run aborts on a checksum mismatch), so the committed
+// and reports, per (overlay, n) point, bytes per node out of the
+// NodeStore/FlatTableArena accounting, mean hops against the 0.5*log2(n)
+// yardstick, the routing checksum and the build time. The unbatched
+// LookupInto reference loop and the batched prefetch-pipelined cursor
+// engine route the identical job list and must agree on every outcome (the
+// run aborts on a checksum mismatch), so the committed
 // results/scale_frontier.json doubles as a certification artifact for the
 // batched engine — tests/experiments/scale_frontier_golden_test.cc replays
-// its n=2^14 rows byte-for-byte.
+// its n=2^14 rows byte-for-byte. Direct and batched lookups/s are measured
+// by the perf ledger's route_scale workload, not here.
 //
 //   $ ./scale_frontier                      # full sweep, n up to 2^20
 //   $ ./scale_frontier --quick              # n=2^16 only (CI scale-smoke)
@@ -47,11 +48,10 @@ using namespace peercache::experiments;
 
 void PrintRow(const ScaleRow& row) {
   std::printf(
-      "%-9s n=2^%-2d %9.0f -> %9.0f lookups/s (x%.2f)  hops=%6.3f "
-      "(%.2fx log-pred)  %7.1f B/node  build %.1fs\n",
-      row.system.c_str(), row.log2_n, row.unbatched_lookups_per_sec,
-      row.batched_lookups_per_sec, row.batch_speedup, row.mean_hops,
-      row.hops_vs_predicted, row.bytes_per_node, row.build_seconds);
+      "%-9s n=2^%-2d hops=%6.3f (%.2fx log-pred)  %7.1f B/node  "
+      "build %.1fs\n",
+      row.system.c_str(), row.log2_n, row.mean_hops, row.hops_vs_predicted,
+      row.bytes_per_node, row.build_seconds);
 }
 
 void AddRowJson(JsonWriter& w, const ScaleRow& row) {
@@ -94,16 +94,6 @@ void AddRowJson(JsonWriter& w, const ScaleRow& row) {
   w.BeginObject();
   w.Key("build_seconds");
   w.Double(row.build_seconds);
-  w.Key("unbatched_seconds");
-  w.Double(row.unbatched_seconds);
-  w.Key("batched_seconds");
-  w.Double(row.batched_seconds);
-  w.Key("unbatched_lookups_per_sec");
-  w.Double(row.unbatched_lookups_per_sec);
-  w.Key("batched_lookups_per_sec");
-  w.Double(row.batched_lookups_per_sec);
-  w.Key("batch_speedup");
-  w.Double(row.batch_speedup);
   w.EndObject();
   w.EndObject();
 }

@@ -21,11 +21,14 @@
 /// tests/experiments/scale_frontier_golden_test: build one overlay at
 /// n = 2^log2_n via BulkAdd + StabilizeAll, route the same precomputed
 /// job list twice — once through the unbatched LookupInto reference loop,
-/// once through the batched cursor engine — and report throughput, memory
+/// once through the batched cursor engine — and report build time, memory
 /// footprint, and routing outcomes. The two passes must agree on every
 /// routing outcome (checksum equality is asserted by both callers), so the
 /// committed document certifies the batched engine against the reference
-/// semantics at every scale point.
+/// semantics at every scale point. Routing throughput, direct and batched,
+/// is the perf ledger's (bench/perf_ledger, workload route_scale): timing
+/// the two passes here would divide a pool-sharded batched pass by a
+/// one-thread loop, which measures threads times batching.
 namespace peercache::bench {
 
 /// In-flight lookup window of the batched pass. 16 suspended routes keep
@@ -55,13 +58,8 @@ struct ScaleRow {
   double bytes_per_node = 0;
   uint64_t table_bytes = 0;
   uint64_t arena_bytes = 0;
-  // Wall-clock fields (the row's "timing" sub-object; never compared).
+  // Wall-clock field (the row's "timing" sub-object; never compared).
   double build_seconds = 0;
-  double unbatched_seconds = 0;
-  double batched_seconds = 0;
-  double unbatched_lookups_per_sec = 0;
-  double batched_lookups_per_sec = 0;
-  double batch_speedup = 0;
   bool checksums_agree = false;
 };
 
@@ -106,9 +104,6 @@ template <typename Policy>
 ScaleRow MeasureScalePoint(int log2_n, uint64_t lookups, uint64_t seed,
                            ThreadPool* pool) {
   using Clock = std::chrono::steady_clock;
-  auto seconds_since = [](Clock::time_point t0) {
-    return std::chrono::duration<double>(Clock::now() - t0).count();
-  };
 
   experiments::ExperimentConfig cfg;
   cfg.n_nodes = 1 << log2_n;
@@ -130,7 +125,8 @@ ScaleRow MeasureScalePoint(int log2_n, uint64_t lookups, uint64_t seed,
     std::abort();
   }
   net.StabilizeAll();
-  row.build_seconds = seconds_since(build_start);
+  row.build_seconds =
+      std::chrono::duration<double>(Clock::now() - build_start).count();
 
   const std::vector<uint64_t> live = net.LiveNodeIds();
   const std::vector<experiments::LookupJob> jobs =
@@ -138,31 +134,23 @@ ScaleRow MeasureScalePoint(int log2_n, uint64_t lookups, uint64_t seed,
 
   // Unbatched reference pass: one LookupInto per job.
   uint64_t ref_checksum = 0, ref_hops = 0, ref_successes = 0;
-  {
-    overlay::RouteResult route;
-    const auto start = Clock::now();
-    for (const experiments::LookupJob& job : jobs) {
-      if (auto s = net.LookupInto(job.origin, job.key, route); !s.ok()) {
-        continue;
-      }
-      ref_hops += static_cast<uint64_t>(route.hops);
-      ref_successes += route.success ? 1 : 0;
-      ref_checksum = MixHash64(ref_checksum ^ route.destination ^
-                               (static_cast<uint64_t>(route.hops) << 32));
+  overlay::RouteResult route;
+  for (const experiments::LookupJob& job : jobs) {
+    if (auto s = net.LookupInto(job.origin, job.key, route); !s.ok()) {
+      continue;
     }
-    row.unbatched_seconds = seconds_since(start);
+    ref_hops += static_cast<uint64_t>(route.hops);
+    ref_successes += route.success ? 1 : 0;
+    ref_checksum = MixHash64(ref_checksum ^ route.destination ^
+                             (static_cast<uint64_t>(route.hops) << 32));
   }
 
   // Batched pass over the same jobs.
   std::vector<experiments::BatchLookupResult> results(jobs.size());
-  {
-    const auto start = Clock::now();
-    if (pool != nullptr) {
-      experiments::RunBatchedLookups(*pool, net, jobs, kScaleWindow, results);
-    } else {
-      experiments::RunBatchedLookups(net, jobs, kScaleWindow, results);
-    }
-    row.batched_seconds = seconds_since(start);
+  if (pool != nullptr) {
+    experiments::RunBatchedLookups(*pool, net, jobs, kScaleWindow, results);
+  } else {
+    experiments::RunBatchedLookups(net, jobs, kScaleWindow, results);
   }
   const experiments::BatchSummary batched = experiments::FoldChecksum(results);
 
@@ -179,18 +167,6 @@ ScaleRow MeasureScalePoint(int log2_n, uint64_t lookups, uint64_t seed,
   row.predicted_hops = 0.5 * log2_n;
   row.hops_vs_predicted =
       row.predicted_hops > 0 ? row.mean_hops / row.predicted_hops : 0;
-  row.unbatched_lookups_per_sec =
-      row.unbatched_seconds > 0
-          ? static_cast<double>(lookups) / row.unbatched_seconds
-          : 0;
-  row.batched_lookups_per_sec =
-      row.batched_seconds > 0
-          ? static_cast<double>(lookups) / row.batched_seconds
-          : 0;
-  row.batch_speedup = row.unbatched_lookups_per_sec > 0
-                          ? row.batched_lookups_per_sec /
-                                row.unbatched_lookups_per_sec
-                          : 0;
 
   const overlay::StoreMemoryStats mem = net.MemoryUsage();
   row.bytes_per_node = mem.bytes_per_node;

@@ -181,12 +181,12 @@ class ChordNetwork {
     tables.Prefetch(node.auxiliaries);
   }
 
-  /// One suspended ResponsibleNode search for the batched warmup engine: a
-  /// bisection over the sorted live array advanced one probe per step. The
-  /// upper bound is unique, so the finished cursor equals ResponsibleNode
-  /// exactly; interleaving a window of cursors turns the warmup phase's
-  /// dependent-miss binary searches into memory-level parallelism, the
-  /// same trick the batched engine plays for routes.
+  /// One suspended ResponsibleNode search for the batched resolution
+  /// engine (RunBatchedResponsible): a bisection over the sorted live array
+  /// advanced one probe per step. The upper bound is unique, so the
+  /// finished cursor equals ResponsibleNode exactly; interleaving a window
+  /// of cursors turns dependent-miss binary searches into memory-level
+  /// parallelism, the same trick the batched engine plays for routes.
   struct ResponsibleCursor {
     uint64_t key = 0;
     size_t lo = 0;  ///< bisection bounds on the insertion point

@@ -169,9 +169,11 @@ void RunBatchedLookups(ThreadPool& pool, const Network& net,
   });
 }
 
-/// Batched ground-truth resolution (warmup phase): interleaves a window of
-/// `window` in-flight ResponsibleCursor bisections, one probe per pass,
-/// prefetching each suspended cursor's next probe while the others run.
+/// Batched ground-truth resolution (the perf ledger's layer timing; warmup
+/// resolves each item once with ResponsibleNode instead): interleaves a
+/// window of `window` in-flight ResponsibleCursor bisections, one probe per
+/// pass, prefetching each suspended cursor's next probe while the others
+/// run.
 /// Every cursor reproduces ResponsibleNode's answer exactly (the bisection
 /// bound / bit-descent range is unique), so results[i] is byte-identical
 /// to calling net.ResponsibleNode(keys[i]) in a loop — independent of the

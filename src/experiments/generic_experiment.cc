@@ -29,7 +29,11 @@ using internal::PhaseTimer;
 using internal::PoolWithoutSelf;
 
 /// True for the selectors that optimize over the node's observed
-/// frequencies (kQos is kOptimal plus RTT-derived delay bounds).
+/// frequencies (kQos is kOptimal plus RTT-derived delay bounds). An arm
+/// learns frequencies if and only if its selector reads them: the
+/// core-only and oblivious arms skip stable warmup and churn-time
+/// recording, since their selections, routes and RNG streams never depend
+/// on the tables.
 bool FrequencyAware(SelectorKind selector) {
   return selector == SelectorKind::kOptimal || selector == SelectorKind::kQos;
 }
@@ -493,20 +497,22 @@ Result<RunResult> RunStable(const ExperimentConfig& config,
   ThreadPool pool(config.threads);
   RunResult result;
 
-  // Warmup: every node observes which peer answers each of its queries.
-  // In the stable overlay the responsible node is known without routing.
+  // Warmup: every node observes which peer answers each of its queries,
+  // in the arms whose selector reads what it learns (FrequencyAware). In
+  // the stable overlay the responsible node is known without routing.
   // With popularity drift enabled, warmup and measurement share one
   // monotone per-node query index so the drift timeline spans both phases.
   const workload::DriftModel* drift = workload.drift();
   PhaseTimer warmup_timer;
   {
     ScopedProfile span("stable.warmup");
-    if (Status s = internal::ParallelWarmup(pool, net, node_ids,
-                                            workload.queries(), seeds.warmup,
-                                            config.warmup_queries_per_node,
-                                            drift, 0);
-        !s.ok()) {
-      return s;
+    if (FrequencyAware(selector)) {
+      if (Status s = internal::ParallelWarmup(
+              pool, net, node_ids, workload.queries(), seeds.warmup,
+              config.warmup_queries_per_node, drift, 0);
+          !s.ok()) {
+        return s;
+      }
     }
   }
   result.warmup_seconds = warmup_timer.Seconds();
@@ -681,6 +687,7 @@ Result<RunResult> RunChurn(const ExperimentConfig& config,
   const fault::FaultPlan plan(config.faults);
   const fault::FaultPlan* faults = plan.enabled() ? &plan : nullptr;
   if (faults != nullptr) obs.fault_injection = true;
+  const bool learns_frequencies = FrequencyAware(selector);
   overlay::RouteResult route;
   std::function<void()> query_event = [&] {
     std::vector<uint64_t> live = net.LiveNodeIds();
@@ -720,9 +727,11 @@ Result<RunResult> RunChurn(const ExperimentConfig& config,
           // (paper Sec. III: "the set of nodes for which s has seen
           // queries"). Under the paper's low global query rate this is what
           // gives nodes usable frequency tables between recomputations.
-          for (uint64_t seen_by : route.path) {
-            if (auto* n = net.GetNode(seen_by); n != nullptr) {
-              n->frequencies.Record(route.destination);
+          if (learns_frequencies) {
+            for (uint64_t seen_by : route.path) {
+              if (auto* n = net.GetNode(seen_by); n != nullptr) {
+                n->frequencies.Record(route.destination);
+              }
             }
           }
         }

@@ -2,11 +2,11 @@
 #define PEERCACHE_EXPERIMENTS_PARALLEL_ENGINE_H_
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <cstdint>
 #include <limits>
 #include <map>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -18,7 +18,6 @@
 #include "common/stats.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
-#include "experiments/batch_engine.h"
 #include "experiments/experiment_config.h"
 #include "workload/drift.h"
 #include "workload/workload.h"
@@ -92,25 +91,45 @@ Status ParallelInstall(ThreadPool& pool, const std::vector<uint64_t>& ids,
   return Status::Ok();
 }
 
-/// Window of in-flight ground-truth bisections per warmup task. Big enough
-/// to cover a live-array binary-search miss chain, small enough that the
-/// cursor slots stay L1-resident.
-inline constexpr int kWarmupResponsibleWindow = 16;
+/// Grain of the item-resolution pass: enough items per chunk that the
+/// pool's per-chunk hand-off is noise beside the lookups.
+inline constexpr size_t kResolveGrain = 1024;
+
+/// Ground truth of every item on the current membership: owner[i] is
+/// net.ResponsibleNode(items.ItemKey(i)), resolved once per item in one
+/// parallel pass (each index writes only its own slot). Fails with
+/// ResponsibleNode's status when the overlay is empty, its sole failure.
+template <typename Network>
+Result<std::vector<uint64_t>> ResolveItemOwners(
+    ThreadPool& pool, const Network& net, const workload::ItemSpace& items) {
+  std::vector<uint64_t> owner(items.n_items());
+  if (owner.empty()) return owner;
+  Result<uint64_t> first = net.ResponsibleNode(items.ItemKey(0));
+  if (!first.ok()) return first.status();
+  owner[0] = first.value();
+  // Cannot fail: the overlay is non-empty and the net is const here.
+  pool.ParallelFor(1, owner.size(), kResolveGrain, [&](size_t i) {
+    owner[i] = net.ResponsibleNode(items.ItemKey(i)).value();
+  });
+  return owner;
+}
 
 /// Warmup: every node learns which peer answers each of its queries. Each
 /// task reads the overlay (const) and writes only its own node's frequency
-/// table. `queries` must have all lists pre-assigned (AssignLists).
+/// table. Every id of `node_ids` must name a node of `net`, and `queries`
+/// must have all lists pre-assigned (AssignLists).
 ///
-/// Each task draws all of its keys up front (same RNG stream and draw
-/// order as a query-at-a-time loop), resolves them through the batched
-/// ResponsibleCursor engine — kWarmupResponsibleWindow bisections in
-/// flight, each prefetching its next probe while the others advance — and
-/// then records the answers in query order. The cursor reproduces
-/// ResponsibleNode's answer exactly and Record order is unchanged, so
-/// frequency tables (and everything downstream: selections, telemetry,
-/// goldens) are byte-identical to the unbatched loop at any thread count.
+/// Queries name items of `queries.items()`, and membership does not change
+/// during warmup, so every item is resolved once up front
+/// (ResolveItemOwners). Each node then draws item indices from its own RNG
+/// stream — the draws SampleKey makes — and records owner[item] in query
+/// order. The answers are ResponsibleNode's and Record order is a
+/// query-at-a-time loop's, so frequency tables (and everything downstream:
+/// selections, telemetry, goldens) are byte-identical to that loop at any
+/// thread count. Empty `node_ids` or `queries_per_node <= 0` resolve
+/// nothing and return Ok.
 ///
-/// When `drift` names an enabled popularity-drift model each key is drawn
+/// When `drift` names an enabled popularity-drift model each item is drawn
 /// from it instead, indexed by the node's monotone query counter offset by
 /// `drift_query_base` (so warmup and measure share one drift timeline). A
 /// null `drift` reproduces the stationary path byte-for-byte.
@@ -121,38 +140,26 @@ Status ParallelWarmup(ThreadPool& pool, Network& net,
                       int queries_per_node,
                       const workload::DriftModel* drift = nullptr,
                       int64_t drift_query_base = 0) {
-  std::vector<Status> statuses(node_ids.size());
+  assert(drift == nullptr || &drift->items() == &queries.items());
+  if (node_ids.empty() || queries_per_node <= 0) return Status::Ok();
+  Result<std::vector<uint64_t>> resolved =
+      ResolveItemOwners(pool, net, queries.items());
+  if (!resolved.ok()) return resolved.status();
+  const std::vector<uint64_t>& owner = resolved.value();
   pool.ParallelFor(0, node_ids.size(), 4, [&](size_t i) {
     const uint64_t origin = node_ids[i];
     auto* node = net.GetNode(origin);
+    assert(node != nullptr);
     Rng rng(SplitSeed(warmup_seed, origin));
     const int list = drift != nullptr ? queries.ListOf(origin) : 0;
-    const size_t n = queries_per_node < 0 ? 0
-                                          : static_cast<size_t>(
-                                                queries_per_node);
-    std::vector<uint64_t> keys(n);
-    for (size_t q = 0; q < n; ++q) {
-      keys[q] = drift != nullptr
-                    ? drift->SampleKey(list,
-                                       drift_query_base +
-                                           static_cast<int64_t>(q),
-                                       rng)
-                    : queries.SampleKey(origin, rng);
-    }
-    std::vector<uint64_t> answers(n);
-    Status st = RunBatchedResponsible(net, keys, kWarmupResponsibleWindow,
-                                      std::span<uint64_t>(answers));
-    if (!st.ok()) {
-      statuses[i] = st;
-      return;
-    }
-    for (size_t q = 0; q < n; ++q) {
-      if (answers[q] != origin) node->frequencies.Record(answers[q]);
+    for (int q = 0; q < queries_per_node; ++q) {
+      const size_t item =
+          drift != nullptr
+              ? drift->SampleItem(list, drift_query_base + q, rng)
+              : queries.SampleItem(origin, rng);
+      if (owner[item] != origin) node->frequencies.Record(owner[item]);
     }
   });
-  for (const Status& s : statuses) {
-    if (!s.ok()) return s;
-  }
   return Status::Ok();
 }
 

@@ -208,9 +208,9 @@ class KademliaNetwork {
     tables.Prefetch(node.auxiliaries);
   }
 
-  /// Step-wise ground-truth resolution for batched warmup: the same bit
-  /// descent as ResponsibleNode over the sorted live array, advanced one
-  /// outer bit level per step. Identical answer by construction.
+  /// Step-wise ground-truth resolution for RunBatchedResponsible: the same
+  /// bit descent as ResponsibleNode over the sorted live array, advanced
+  /// one outer bit level per step. Identical answer by construction.
   struct ResponsibleCursor {
     uint64_t key = 0;
     size_t lo = 0;  ///< candidate range sharing the prefix fixed so far

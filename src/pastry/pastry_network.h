@@ -204,10 +204,10 @@ class PastryNetwork {
     tables.Prefetch(node.auxiliaries);
   }
 
-  /// Step-wise ground-truth resolution for batched warmup: a lower-bound
-  /// bisection over the sorted live array, one probe per step. Identical
-  /// answer to ResponsibleNode (the insertion point is unique, and the
-  /// succ/pred tie-break is replayed verbatim at the end).
+  /// Step-wise ground-truth resolution for RunBatchedResponsible: a
+  /// lower-bound bisection over the sorted live array, one probe per step.
+  /// Identical answer to ResponsibleNode (the insertion point is unique,
+  /// and the succ/pred tie-break is replayed verbatim at the end).
   struct ResponsibleCursor {
     uint64_t key = 0;
     size_t lo = 0;  ///< bisection bounds on the insertion point

@@ -108,17 +108,14 @@ size_t DriftModel::FlashItem(int epoch) const {
   return flash_items_[static_cast<size_t>(epoch)];
 }
 
-uint64_t DriftModel::SampleKey(int list_index, int64_t query_index,
-                               Rng& rng) const {
+size_t DriftModel::SampleItem(int list_index, int64_t query_index,
+                              Rng& rng) const {
   const int epoch = EpochOf(query_index);
-  size_t item;
   if (IsFlashEpoch(epoch) && rng.Bernoulli(config_.flash_boost)) {
-    item = FlashItem(epoch);
-  } else {
-    const size_t rank = base_.zipf().Sample(rng);
-    item = ItemAtRank(list_index, epoch, rank);
+    return FlashItem(epoch);
   }
-  return items_.ItemKey(item);
+  const size_t rank = base_.zipf().Sample(rng);
+  return ItemAtRank(list_index, epoch, rank);
 }
 
 }  // namespace peercache::workload

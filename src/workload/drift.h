@@ -83,9 +83,17 @@ class DriftModel {
     return config_.kind == DriftKind::kFlashCrowd && (epoch % 2) == 1;
   }
 
-  /// Draws a query key for the node's `query_index`-th query (warmup and
+  /// Draws the item index of the node's `query_index`-th query (warmup and
   /// measure share one monotone index so drift continues across phases).
-  uint64_t SampleKey(int list_index, int64_t query_index, Rng& rng) const;
+  size_t SampleItem(int list_index, int64_t query_index, Rng& rng) const;
+
+  /// The key of SampleItem's item: the same draw, as a key.
+  uint64_t SampleKey(int list_index, int64_t query_index, Rng& rng) const {
+    return items_.ItemKey(SampleItem(list_index, query_index, rng));
+  }
+
+  /// The item space SampleItem indexes (the base workload's).
+  const ItemSpace& items() const { return items_; }
 
  private:
   const ItemSpace& items_;

@@ -53,9 +53,8 @@ void QueryWorkload::AssignLists(const std::vector<uint64_t>& node_ids) {
   for (uint64_t id : node_ids) (void)ListOf(id);
 }
 
-uint64_t QueryWorkload::SampleKey(uint64_t node_id, Rng& rng) {
-  const size_t item = popularity_.SampleItem(ListOf(node_id), rng);
-  return items_.ItemKey(item);
+size_t QueryWorkload::SampleItem(uint64_t node_id, Rng& rng) {
+  return popularity_.SampleItem(ListOf(node_id), rng);
 }
 
 }  // namespace peercache::workload

@@ -68,14 +68,19 @@ class QueryWorkload {
 
   /// Assigns lists to all of `node_ids` up front, in the given order.
   /// Assignment normally happens lazily in query order; pre-assigning makes
-  /// it a function of the membership alone, and afterwards SampleKey no
+  /// it a function of the membership alone, and afterwards SampleItem no
   /// longer mutates the workload for these nodes — a requirement for the
   /// concurrent per-node query loops in the experiment drivers.
   void AssignLists(const std::vector<uint64_t>& node_ids);
 
-  /// Draws a query key for a node, using the caller's RNG for the zipf draw
-  /// so interleavings stay deterministic.
-  uint64_t SampleKey(uint64_t node_id, Rng& rng);
+  /// Draws the item index of a node's next query, using the caller's RNG
+  /// for the zipf draw so interleavings stay deterministic.
+  size_t SampleItem(uint64_t node_id, Rng& rng);
+
+  /// The key of SampleItem's item: the same draw, as a key.
+  uint64_t SampleKey(uint64_t node_id, Rng& rng) {
+    return items_.ItemKey(SampleItem(node_id, rng));
+  }
 
   const ItemSpace& items() const { return items_; }
   const PopularityModel& popularity() const { return popularity_; }

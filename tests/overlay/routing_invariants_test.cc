@@ -599,7 +599,7 @@ TEST(BatchedLookups, KademliaBatchedMatchesSingleLookup) {
       << "\n  counterexample: " << outcome.counterexample;
 }
 
-/// Batched-warmup differential body: resolve a random key list through the
+/// Batched-resolution differential body: resolve a random key list through the
 /// window-16 ResponsibleCursor engine and through the ResponsibleNode
 /// reference loop, and require identical owners key for key.
 template <typename Net>
