@@ -360,7 +360,7 @@ bool RunCluster(const bench::BenchArgs& bench_args, const ClusterArgs& cargs,
   if (!st.ok()) return false;
 
   // Hard crash: a deterministic kill set leaves over control-plane frames,
-  // forgetting in-memory state where the overlay supports it. No
+  // forgetting its in-memory state (frequencies and tables). No
   // stabilization yet — survivors route over tables that still name the
   // dead, exactly the stale-entry regime the resilient path is for.
   RecoveryStats recovery;
@@ -432,7 +432,6 @@ bool RunCluster(const bench::BenchArgs& bench_args, const ClusterArgs& cargs,
       continue;
     }
     auto* node = net.GetNode(id);
-    node->frequencies.Clear();  // pastry retains state across RemoveNode
     for (const auto& [peer, count] : record.frequencies) {
       node->frequencies.Record(peer, count);
       recovery.restored_observations += count;

@@ -18,17 +18,6 @@
 // (0 = all hardware threads, 1 = serial); per-job results land in global
 // job order, so every reported field except the "timing" sub-object is
 // identical at any thread count.
-//
-// Regeneration note (Kademlia bucket cap): the committed sweep runs with
-// KademliaParams::bucket_capacity = 0 (unbounded, the historical layout
-// the golden replay pins). Capping materialized bucket entries shrinks
-// the Kademlia point dramatically — measured at n=2^20, bits=32:
-// 4413.06 bytes/node unbounded -> 1341.06 at capacity 64 -> 829.06 at
-// capacity 32 (live table_bytes 2.25 GiB -> 768 MiB -> 512 MiB), with
-// stable routing exact at any cap (one-entry-per-class floor; see
-// docs/RUNTIME.md §6). To sweep a capped frontier, set bucket_capacity
-// in KademliaPolicy::MakeNetwork and write a NEW results file — the
-// golden test replays the committed unbounded rows byte-for-byte.
 
 #include <cstdint>
 #include <cstdio>

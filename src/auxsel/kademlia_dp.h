@@ -18,8 +18,9 @@ namespace peercache::auxsel {
 /// summed over all non-root trie vertices u. This implementation exploits
 /// the decomposition directly on the id-sorted element array — every trie
 /// subtree is a contiguous range, split at each level by one bit — with no
-/// materialized trie, so it shares no code with the gain-tree fast path
-/// (kademlia_fast.h) it serves as the differential reference for. O(n·k²).
+/// materialized trie, so it shares no code with the Pastry gain tree
+/// (pastry_greedy.h) that selects for Kademlia and that it serves as the
+/// differential reference for. O(n·k²).
 Result<Selection> SelectKademliaDp(const SelectionInput& input);
 
 }  // namespace peercache::auxsel

@@ -1,82 +1,13 @@
 #include "chord/chord_network.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "common/bits.h"
-#include "common/overlay.h"
 
 namespace peercache::chord {
 
 static_assert(overlay::Overlay<ChordNetwork>,
               "ChordNetwork must satisfy the Overlay concept");
-
-ChordNetwork::ChordNetwork(const ChordParams& params)
-    : params_(params), space_(params.bits) {}
-
-Status ChordNetwork::AddNode(uint64_t id) {
-  if (!space_.Contains(id)) return Status::InvalidArgument("id out of range");
-  if (store_.IsAlive(id)) {
-    return Status::InvalidArgument("live id already used");
-  }
-  auto [node, inserted] = store_.Emplace(id, params_.frequency_capacity, params_.freq_sketch);
-  node->id = id;
-  node->alive = true;
-  store_.tables().Clear(node->auxiliaries);
-  store_.MarkAlive(id);
-  return StabilizeNode(id);
-}
-
-Status ChordNetwork::BulkAdd(const std::vector<uint64_t>& ids) {
-  for (uint64_t id : ids) {
-    if (!space_.Contains(id)) {
-      return Status::InvalidArgument("id out of range");
-    }
-    if (store_.IsAlive(id)) {
-      return Status::InvalidArgument("live id already used");
-    }
-  }
-  store_.Reserve(store_.size() + ids.size());
-  for (uint64_t id : ids) {
-    auto [node, inserted] = store_.Emplace(id, params_.frequency_capacity, params_.freq_sketch);
-    node->id = id;
-    node->alive = true;
-    store_.tables().Clear(node->auxiliaries);
-  }
-  store_.BulkMarkAlive(ids);
-  return Status::Ok();
-}
-
-Status ChordNetwork::RemoveNode(uint64_t id, bool forget_state) {
-  ChordNode* node = store_.Get(id);
-  if (node == nullptr || !node->alive) {
-    return Status::NotFound("node not alive");
-  }
-  node->alive = false;
-  store_.MarkDead(id);
-  if (forget_state) {
-    node->frequencies.Clear();
-    store_.tables().Release(node->fingers);
-    store_.tables().Release(node->successors);
-    store_.tables().Release(node->auxiliaries);
-  }
-  return Status::Ok();
-}
-
-Status ChordNetwork::RejoinNode(uint64_t id) {
-  ChordNode* node = store_.Get(id);
-  if (node == nullptr) return Status::NotFound("unknown node");
-  if (node->alive) return Status::FailedPrecondition("already alive");
-  node->alive = true;
-  // Auxiliaries are lost on crash; rebuilt at the next selection.
-  store_.tables().Clear(node->auxiliaries);
-  store_.MarkAlive(id);
-  return StabilizeNode(id);
-}
-
-std::vector<uint64_t> ChordNetwork::LiveNodeIds() const {
-  return store_.live_ids();
-}
 
 Result<uint64_t> ChordNetwork::ResponsibleNode(uint64_t key) const {
   const std::vector<uint64_t>& live = store_.live_ids();
@@ -160,22 +91,6 @@ Status ChordNetwork::StabilizeNode(uint64_t id) {
   return Status::Ok();
 }
 
-void ChordNetwork::StabilizeAll() {
-  for (uint64_t id : LiveNodeIds()) {
-    (void)StabilizeNode(id);
-  }
-}
-
-Status ChordNetwork::SetAuxiliaries(uint64_t id,
-                                    std::vector<uint64_t> auxiliaries) {
-  ChordNode* node = store_.Get(id);
-  if (node == nullptr || !node->alive) {
-    return Status::NotFound("node not alive");
-  }
-  store_.tables().Assign(node->auxiliaries, auxiliaries);
-  return Status::Ok();
-}
-
 std::vector<uint64_t> ChordNetwork::CoreNeighborIds(uint64_t id) const {
   const ChordNode* node = GetNode(id);
   if (node == nullptr) return {};
@@ -212,19 +127,6 @@ overlay::RankedHop ChordNetwork::Rank(const ChordNode& node, uint64_t current,
   for (uint64_t w : Successors(node)) consider(w, HopEntryKind::kSuccessor);
   for (uint64_t w : Auxiliaries(node)) consider(w, HopEntryKind::kAuxiliary);
   return best;
-}
-
-Status ChordNetwork::LookupInto(uint64_t origin, uint64_t key,
-                                RouteResult& out,
-                                const overlay::RouteOptions& options) const {
-  return overlay::RouteKernel<ChordNetwork>::LookupInto(*this, origin, key,
-                                                        out, options);
-}
-
-Result<RouteResult> ChordNetwork::Lookup(
-    uint64_t origin, uint64_t key, const overlay::RouteOptions& options) const {
-  return overlay::RouteKernel<ChordNetwork>::Lookup(*this, origin, key,
-                                                    options);
 }
 
 }  // namespace peercache::chord

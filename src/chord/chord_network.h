@@ -7,8 +7,7 @@
 
 #include "auxsel/frequency_table.h"
 #include "common/flat_table_arena.h"
-#include "common/node_store.h"
-#include "common/ring_id.h"
+#include "common/overlay.h"
 #include "common/route_kernel.h"
 #include "common/route_result.h"
 #include "common/status.h"
@@ -72,47 +71,19 @@ struct ChordNode {
 /// detours, occasional misdelivery) rather than black-holing them. Keys are
 /// owned by their live *predecessor* (the paper's Chord variant).
 ///
-/// Node state lives in an overlay::NodeStore: liveness probes and
+/// Node state lives in the overlay::NodeStore of the shared membership
+/// layer (overlay::OverlayBase, common/overlay.h): liveness probes and
 /// responsible-node searches on the lookup hot path walk flat id-sorted
 /// arrays instead of ordered-set trees, and routing tables are contiguous
 /// arena slices (see common/node_store.h and common/flat_table_arena.h).
-class ChordNetwork {
+class ChordNetwork
+    : public overlay::OverlayBase<ChordNetwork, ChordNode, ChordParams> {
  public:
-  using NodeType = ChordNode;
+  explicit ChordNetwork(const ChordParams& params) : OverlayBase(params) {}
 
-  explicit ChordNetwork(const ChordParams& params);
-
-  const ChordParams& params() const { return params_; }
-  const IdSpace& space() const { return space_; }
-
-  /// Adds a live node with the given id and builds its tables from the
-  /// current live membership. Other nodes learn of it only when they next
-  /// stabilize. Fails on duplicate live id.
-  Status AddNode(uint64_t id);
-
-  /// Bulk join for large builds: inserts every id as a live node WITHOUT
-  /// stabilizing (callers run StabilizeAll once after). O(n log n) total
-  /// where the AddNode loop is quadratic. Fails (before any mutation) on
-  /// out-of-range or duplicate ids.
-  Status BulkAdd(const std::vector<uint64_t>& ids);
-
-  /// Crashes a node: it disappears immediately; other nodes' table entries
-  /// pointing at it become stale until their next stabilization. Node state
-  /// (frequency history) is retained for a later rejoin unless
-  /// `forget_state` is set.
-  Status RemoveNode(uint64_t id, bool forget_state = false);
-
-  /// Rejoins a previously crashed node: fresh tables, empty auxiliaries,
-  /// retained frequency history.
-  Status RejoinNode(uint64_t id);
-
-  bool IsAlive(uint64_t id) const { return store_.IsAlive(id); }
-  size_t live_count() const { return store_.live_count(); }
-  std::vector<uint64_t> LiveNodeIds() const;
-
-  /// Mutable node state (must exist). Nullptr if unknown.
-  ChordNode* GetNode(uint64_t id) { return store_.Get(id); }
-  const ChordNode* GetNode(uint64_t id) const { return store_.Get(id); }
+  /// The core table slices a forgetting RemoveNode releases.
+  static constexpr overlay::FlatList ChordNode::*kCoreTables[] = {
+      &ChordNode::fingers, &ChordNode::successors};
 
   /// Routing-table views: contiguous arena slices, valid until the next
   /// mutation of the same node's tables.
@@ -122,46 +93,10 @@ class ChordNetwork {
   std::span<const uint64_t> Successors(const ChordNode& node) const {
     return store_.tables().View(node.successors);
   }
-  std::span<const uint64_t> Auxiliaries(const ChordNode& node) const {
-    return store_.tables().View(node.auxiliaries);
-  }
-
-  /// Auxiliary list of `id` (empty when the node is unknown).
-  std::span<const uint64_t> AuxiliarySpan(uint64_t id) const {
-    const ChordNode* node = store_.Get(id);
-    return node == nullptr ? std::span<const uint64_t>{} : Auxiliaries(*node);
-  }
-
-  /// Removes every occurrence of `entry` from `id`'s auxiliary list
-  /// (dead-entry eviction). No-op when the node is unknown.
-  void EraseAuxiliary(uint64_t id, uint64_t entry) {
-    if (ChordNode* node = store_.Get(id)) {
-      store_.tables().EraseValue(node->auxiliaries, entry);
-    }
-  }
-
-  /// Footprint accounting (node records + indices + routing arena).
-  overlay::StoreMemoryStats MemoryUsage() const {
-    return store_.MemoryUsage();
-  }
 
   /// Ground truth: the live node responsible for `key` (its predecessor on
   /// the ring). Fails if the overlay is empty.
   Result<uint64_t> ResponsibleNode(uint64_t key) const;
-
-  /// Routes a lookup for `key` from `origin` over current (possibly stale)
-  /// tables into a caller-owned result through overlay::RouteKernel. Does
-  /// not record frequencies; callers decide what to observe. `out` is
-  /// cleared first but keeps its path capacity, so a reused RouteResult
-  /// makes the steady-state lookup path allocation-free. `options` carries
-  /// the optional trace, fault plan and latency model (see
-  /// overlay::RouteOptions); the default routes fault-free and untraced.
-  Status LookupInto(uint64_t origin, uint64_t key, RouteResult& out,
-                    const overlay::RouteOptions& options = {}) const;
-
-  /// By-value convenience form of LookupInto.
-  Result<RouteResult> Lookup(uint64_t origin, uint64_t key,
-                             const overlay::RouteOptions& options = {}) const;
 
   /// The kernel's ranking step (overlay::RouteKernel): among entries
   /// between `current` and the key (clockwise) that pass `usable`, the one
@@ -218,22 +153,12 @@ class ChordNetwork {
   /// selection").
   Status StabilizeNode(uint64_t id);
 
-  /// Stabilizes every live node.
-  void StabilizeAll();
-
-  /// Installs auxiliary neighbors on a node (ids need not be alive; dead
-  /// ones are simply useless until pruned). Serial-only: writes the arena.
-  Status SetAuxiliaries(uint64_t id, std::vector<uint64_t> auxiliaries);
-
   /// Builds the core-neighbor list (fingers + successors, deduplicated)
   /// used as N_s for auxiliary selection at this node.
   std::vector<uint64_t> CoreNeighborIds(uint64_t id) const;
 
  private:
-  ChordParams params_;
-  IdSpace space_;
-  overlay::NodeStore<ChordNode> store_;  // all nodes ever seen (alive + dead)
-  std::vector<uint64_t> scratch_;        // stabilize build buffer (serial)
+  std::vector<uint64_t> scratch_;  // stabilize build buffer (serial)
 };
 
 }  // namespace peercache::chord

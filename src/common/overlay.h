@@ -1,12 +1,14 @@
 #ifndef PEERCACHE_COMMON_OVERLAY_H_
 #define PEERCACHE_COMMON_OVERLAY_H_
 
+#include <algorithm>
 #include <concepts>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "common/flat_table_arena.h"
+#include "common/node_store.h"
 #include "common/ring_id.h"
 #include "common/route_kernel.h"
 #include "common/route_result.h"
@@ -46,6 +48,8 @@ concept OverlayNode = requires(N& node, const N& cnode, uint64_t peer) {
 ///   * scale plumbing — BulkAdd joins many nodes without intermediate
 ///     stabilization and MemoryUsage reports the per-node footprint.
 ///
+/// OverlayBase (below) writes everything here except StabilizeNode,
+/// ResponsibleNode and CoreNeighborIds once for every backend.
 /// ChordNetwork, PastryNetwork, and KademliaNetwork are statically checked
 /// against this concept; a new DHT backend plugs into the whole
 /// experiment/bench/telemetry stack by satisfying it plus a small policy
@@ -63,6 +67,7 @@ concept Overlay = OverlayNode<typename N::NodeType> &&
   { cnet.params().max_route_hops } -> std::convertible_to<int>;
   { net.AddNode(id) } -> std::same_as<Status>;
   { net.RemoveNode(id) } -> std::same_as<Status>;
+  { net.RemoveNode(id, /*forget_state=*/true) } -> std::same_as<Status>;
   { net.RejoinNode(id) } -> std::same_as<Status>;
   { cnet.IsAlive(id) } -> std::same_as<bool>;
   { cnet.live_count() } -> std::same_as<size_t>;
@@ -81,6 +86,215 @@ concept Overlay = OverlayNode<typename N::NodeType> &&
   { net.EraseAuxiliary(id, id) };
   { net.BulkAdd(ids) } -> std::same_as<Status>;
   { cnet.MemoryUsage() } -> std::same_as<StoreMemoryStats>;
+};
+
+/// The membership layer, written once for every geometry (CRTP). It owns
+/// the parameters, the id space and the NodeStore (records, liveness, the
+/// routing arena), and defines every operation that reads no geometry:
+/// joins one at a time or in a batch, leaves and rejoins, stabilizing every
+/// live node, the auxiliary list, the read-only accessors, the footprint
+/// and the two routing entries into RouteKernel<Net>.
+///
+/// A backend `Net` derives from `OverlayBase<Net, Node, Params>` and writes
+/// only its geometry: its node record, `StabilizeNode` (rebuild one live
+/// node's core tables and prune its dead auxiliaries), `CoreNeighborIds`,
+/// `ResponsibleNode`, `Rank`, `PrefetchTables`, and `kCoreTables`, the
+/// record's core table slices that a forgetting RemoveNode releases along
+/// with the auxiliaries. `Params` carries `bits`, `frequency_capacity` and
+/// `freq_sketch`.
+///
+/// A backend that keeps slot-indexed data beside the store (Pastry's
+/// underlay coordinates) shadows three hooks and befriends this class:
+/// `OnSlotCreated()` runs once for each new store slot, in slot order;
+/// `ReserveSlots(n)` runs before a batch grows the store to at most n
+/// slots; and `SideBytes()` is counted as node bytes by MemoryUsage.
+template <typename Net, typename Node, typename Params>
+class OverlayBase {
+ public:
+  using NodeType = Node;
+
+  const Params& params() const { return params_; }
+  const IdSpace& space() const { return space_; }
+
+  /// Adds a live node with the given id and builds its tables from the
+  /// current live membership. Other nodes learn of it only when they next
+  /// stabilize. Fails on an out-of-range or live id.
+  Status AddNode(uint64_t id) {
+    if (Status s = CheckJoinable(id); !s.ok()) return s;
+    EmplaceLive(id);
+    store_.MarkAlive(id);
+    return self().StabilizeNode(id);
+  }
+
+  /// Bulk join for large builds: inserts every id as a live node WITHOUT
+  /// stabilizing (callers run StabilizeAll once after). O(n log n) total
+  /// where the AddNode loop is quadratic. Fails before any mutation on an
+  /// out-of-range id, a live id, or an id given twice.
+  Status BulkAdd(const std::vector<uint64_t>& ids) {
+    for (uint64_t id : ids) {
+      if (Status s = CheckJoinable(id); !s.ok()) return s;
+    }
+    std::vector<uint64_t> sorted = ids;
+    std::sort(sorted.begin(), sorted.end());
+    if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
+      return Status::InvalidArgument("id given twice");
+    }
+    const size_t slots = store_.size() + ids.size();
+    store_.Reserve(slots);
+    self().ReserveSlots(slots);
+    for (uint64_t id : ids) EmplaceLive(id);
+    store_.BulkMarkAlive(ids);
+    return Status::Ok();
+  }
+
+  /// Crashes a node: it disappears immediately; other nodes' table entries
+  /// naming it go stale until their next stabilization. The record keeps
+  /// its frequency history for a later rejoin unless `forget_state` is set,
+  /// which clears the history and releases every table slice.
+  Status RemoveNode(uint64_t id, bool forget_state = false) {
+    Node* node = store_.Get(id);
+    if (node == nullptr || !node->alive) {
+      return Status::NotFound("node not alive");
+    }
+    node->alive = false;
+    store_.MarkDead(id);
+    if (forget_state) {
+      node->frequencies.Clear();
+      FlatTableArena& tables = store_.tables();
+      for (FlatList Node::*slice : Net::kCoreTables) {
+        tables.Release(node->*slice);
+      }
+      tables.Release(node->auxiliaries);
+    }
+    return Status::Ok();
+  }
+
+  /// Rejoins a previously crashed node: fresh tables, empty auxiliaries,
+  /// and whatever frequency history its leave kept.
+  Status RejoinNode(uint64_t id) {
+    Node* node = store_.Get(id);
+    if (node == nullptr) return Status::NotFound("unknown node");
+    if (node->alive) return Status::FailedPrecondition("already alive");
+    node->alive = true;
+    // Auxiliaries are lost on crash; rebuilt at the next selection.
+    store_.tables().Clear(node->auxiliaries);
+    store_.MarkAlive(id);
+    return self().StabilizeNode(id);
+  }
+
+  bool IsAlive(uint64_t id) const { return store_.IsAlive(id); }
+  size_t live_count() const { return store_.live_count(); }
+  std::vector<uint64_t> LiveNodeIds() const { return store_.live_ids(); }
+
+  /// Node record (alive or departed); nullptr if the id was never added.
+  Node* GetNode(uint64_t id) { return store_.Get(id); }
+  const Node* GetNode(uint64_t id) const { return store_.Get(id); }
+
+  /// The installed auxiliary list: a contiguous arena slice, valid until
+  /// the next mutation of the same node's tables.
+  std::span<const uint64_t> Auxiliaries(const Node& node) const {
+    return store_.tables().View(node.auxiliaries);
+  }
+
+  /// Auxiliary list of `id` (empty when the node is unknown).
+  std::span<const uint64_t> AuxiliarySpan(uint64_t id) const {
+    const Node* node = store_.Get(id);
+    return node == nullptr ? std::span<const uint64_t>{} : Auxiliaries(*node);
+  }
+
+  /// Removes every occurrence of `entry` from `id`'s auxiliary list
+  /// (dead-entry eviction). No-op when the node is unknown.
+  void EraseAuxiliary(uint64_t id, uint64_t entry) {
+    if (Node* node = store_.Get(id)) {
+      store_.tables().EraseValue(node->auxiliaries, entry);
+    }
+  }
+
+  /// Installs auxiliary neighbors on a live node (ids need not be alive;
+  /// dead ones are simply useless until pruned). Serial-only: writes the
+  /// arena.
+  Status SetAuxiliaries(uint64_t id, std::vector<uint64_t> auxiliaries) {
+    Node* node = store_.Get(id);
+    if (node == nullptr || !node->alive) {
+      return Status::NotFound("node not alive");
+    }
+    store_.tables().Assign(node->auxiliaries, auxiliaries);
+    return Status::Ok();
+  }
+
+  /// Stabilizes every live node, in id order.
+  void StabilizeAll() {
+    for (uint64_t id : LiveNodeIds()) {
+      (void)self().StabilizeNode(id);
+    }
+  }
+
+  /// Footprint accounting: node records and any slot-indexed side data,
+  /// indices, routing arena.
+  StoreMemoryStats MemoryUsage() const {
+    StoreMemoryStats s = store_.MemoryUsage();
+    const size_t side_bytes = self().SideBytes();
+    s.node_bytes += side_bytes;
+    if (store_.size() != 0) {
+      s.bytes_per_node += static_cast<double>(side_bytes) /
+                          static_cast<double>(store_.size());
+    }
+    return s;
+  }
+
+  /// Routes a lookup for `key` from `origin` over current (possibly stale)
+  /// tables into a caller-owned result through RouteKernel. Does not
+  /// record frequencies; callers decide what to observe. `out` is cleared
+  /// first but keeps its path capacity, so a reused RouteResult makes the
+  /// steady-state lookup path allocation-free. `options` carries the
+  /// optional trace, fault plan and latency model; the default routes
+  /// fault-free and untraced.
+  Status LookupInto(uint64_t origin, uint64_t key, RouteResult& out,
+                    const RouteOptions& options = {}) const {
+    return RouteKernel<Net>::LookupInto(self(), origin, key, out, options);
+  }
+
+  /// By-value convenience form of LookupInto.
+  Result<RouteResult> Lookup(uint64_t origin, uint64_t key,
+                             const RouteOptions& options = {}) const {
+    return RouteKernel<Net>::Lookup(self(), origin, key, options);
+  }
+
+ protected:
+  explicit OverlayBase(const Params& params)
+      : params_(params), space_(params.bits) {}
+
+  // Default hooks: nothing is kept beside the store.
+  void OnSlotCreated() {}
+  void ReserveSlots(size_t /*slots*/) {}
+  size_t SideBytes() const { return 0; }
+
+  Params params_;
+  IdSpace space_;
+  NodeStore<Node> store_;  // all nodes ever seen (alive + dead)
+
+ private:
+  Net& self() { return static_cast<Net&>(*this); }
+  const Net& self() const { return static_cast<const Net&>(*this); }
+
+  Status CheckJoinable(uint64_t id) const {
+    if (!space_.Contains(id)) return Status::InvalidArgument("id out of range");
+    if (store_.IsAlive(id)) {
+      return Status::InvalidArgument("live id already used");
+    }
+    return Status::Ok();
+  }
+
+  /// Emplaces `id` as a live record with cleared auxiliaries, not yet in
+  /// the live arrays.
+  void EmplaceLive(uint64_t id) {
+    auto [node, inserted] =
+        store_.Emplace(id, params_.frequency_capacity, params_.freq_sketch);
+    if (inserted) self().OnSlotCreated();
+    node->id = id;
+    node->alive = true;
+    store_.tables().Clear(node->auxiliaries);
+  }
 };
 
 }  // namespace peercache::overlay

@@ -2,7 +2,6 @@
 
 #include "auxsel/chord_fast.h"
 #include "auxsel/chord_qos.h"
-#include "auxsel/kademlia_fast.h"
 #include "auxsel/oblivious.h"
 #include "auxsel/pastry_greedy.h"
 #include "auxsel/pastry_qos.h"
@@ -136,7 +135,7 @@ KademliaPolicy::Maintainer KademliaPolicy::MakeMaintainer(
 
 Result<auxsel::Selection> KademliaPolicy::SelectOptimal(
     const auxsel::SelectionInput& input) {
-  return auxsel::SelectKademliaFast(input);
+  return auxsel::SelectPastryGreedy(input);
 }
 
 Result<auxsel::Selection> KademliaPolicy::SelectOblivious(
@@ -146,15 +145,7 @@ Result<auxsel::Selection> KademliaPolicy::SelectOblivious(
 
 Result<auxsel::Selection> KademliaPolicy::SelectQos(
     const auxsel::SelectionInput& input) {
-  // The XOR estimate is trie-shaped (bitlen(w ^ v) = b - lcp(w, v)), so the
-  // Pastry QoS greedy serves the Kademlia geometry unchanged, exactly like
-  // SelectKademliaFast reuses the unconstrained gain tree. Re-price the
-  // result in the XOR metric for consistency with the other selectors (the
-  // value is equal by the identity; the spelling matches the geometry).
-  Result<auxsel::Selection> sel = auxsel::SelectPastryGreedyQos(input);
-  if (!sel.ok()) return sel;
-  sel->cost = auxsel::EvaluateKademliaCost(input, sel->chosen);
-  return sel;
+  return auxsel::SelectPastryGreedyQos(input);
 }
 
 }  // namespace peercache::experiments

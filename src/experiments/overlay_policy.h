@@ -4,7 +4,6 @@
 #include <cstdint>
 
 #include "auxsel/chord_maintainer.h"
-#include "auxsel/kademlia_maintainer.h"
 #include "auxsel/maintainer.h"
 #include "auxsel/pastry_maintainer.h"
 #include "auxsel/selection_types.h"
@@ -98,9 +97,13 @@ struct PastryPolicy {
       const auxsel::SelectionInput& input);
 };
 
+/// Kademlia's XOR estimate is the trie distance with one-bit digits
+/// (bitlen(w ^ v) = b - lcp(w, v)), so it selects and maintains through
+/// Pastry's gain-tree code: SelectPastryGreedy, SelectPastryGreedyQos and
+/// PastryAuxMaintainer. Only its oblivious baseline is its own.
 struct KademliaPolicy {
   using Network = kademlia::KademliaNetwork;
-  using Maintainer = auxsel::KademliaAuxMaintainer;
+  using Maintainer = auxsel::PastryAuxMaintainer;
   static constexpr const char* kName = "kademlia";
 
   static SeedPlan MakeSeedPlan(uint64_t seed);

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <utility>
 
 #include "common/bits.h"
-#include "common/overlay.h"
 
 namespace peercache::kademlia {
 
@@ -50,73 +48,6 @@ void CollectXorClosest(const std::vector<uint64_t>& live, size_t lo,
 }
 
 }  // namespace
-
-KademliaNetwork::KademliaNetwork(const KademliaParams& params)
-    : params_(params), space_(params.bits) {}
-
-Status KademliaNetwork::AddNode(uint64_t id) {
-  if (!space_.Contains(id)) return Status::InvalidArgument("id out of range");
-  if (store_.IsAlive(id)) {
-    return Status::InvalidArgument("live id already used");
-  }
-  auto [node, inserted] = store_.Emplace(id, params_.frequency_capacity, params_.freq_sketch);
-  node->id = id;
-  node->alive = true;
-  store_.tables().Clear(node->auxiliaries);
-  store_.MarkAlive(id);
-  return StabilizeNode(id);
-}
-
-Status KademliaNetwork::BulkAdd(const std::vector<uint64_t>& ids) {
-  for (uint64_t id : ids) {
-    if (!space_.Contains(id)) {
-      return Status::InvalidArgument("id out of range");
-    }
-    if (store_.IsAlive(id)) {
-      return Status::InvalidArgument("live id already used");
-    }
-  }
-  store_.Reserve(store_.size() + ids.size());
-  for (uint64_t id : ids) {
-    auto [node, inserted] = store_.Emplace(id, params_.frequency_capacity, params_.freq_sketch);
-    node->id = id;
-    node->alive = true;
-    store_.tables().Clear(node->auxiliaries);
-  }
-  store_.BulkMarkAlive(ids);
-  return Status::Ok();
-}
-
-Status KademliaNetwork::RemoveNode(uint64_t id, bool forget_state) {
-  KademliaNode* node = store_.Get(id);
-  if (node == nullptr || !node->alive) {
-    return Status::NotFound("node not alive");
-  }
-  node->alive = false;
-  store_.MarkDead(id);
-  if (forget_state) {
-    node->frequencies.Clear();
-    store_.tables().Release(node->bucket_entries);
-    store_.tables().Release(node->bucket_ends);
-    store_.tables().Release(node->auxiliaries);
-  }
-  return Status::Ok();
-}
-
-Status KademliaNetwork::RejoinNode(uint64_t id) {
-  KademliaNode* node = store_.Get(id);
-  if (node == nullptr) return Status::NotFound("unknown node");
-  if (node->alive) return Status::FailedPrecondition("already alive");
-  node->alive = true;
-  // Auxiliaries are lost on crash; rebuilt at the next selection.
-  store_.tables().Clear(node->auxiliaries);
-  store_.MarkAlive(id);
-  return StabilizeNode(id);
-}
-
-std::vector<uint64_t> KademliaNetwork::LiveNodeIds() const {
-  return store_.live_ids();
-}
 
 Result<uint64_t> KademliaNetwork::ResponsibleNode(uint64_t key) const {
   const std::vector<uint64_t>& live = store_.live_ids();
@@ -206,51 +137,22 @@ Status KademliaNetwork::StabilizeNode(uint64_t id) {
   scratch_ends_.clear();
   const size_t bucket_size = static_cast<size_t>(params_.bucket_size);
 
-  // Pass 1 (lazy): size every class's candidate range — two binary
-  // searches each, no copying — and fix the per-class retention target.
-  // With bucket_capacity unset every target is bucket_size (the historical
-  // tables, bit for bit); with it set, each non-empty class keeps at least
-  // one entry and the leftover budget goes to the XOR-closest classes.
-  size_t los[64], his[64], keep[64];
-  for (int c = 0; c < params_.bits; ++c) {
-    const int flip = params_.bits - 1 - c;  // bit position that differs
-    const uint64_t flipped = id ^ (uint64_t{1} << flip);
-    los[c] = store_.LowerBoundLive(flipped & ~LowBitMask(flip));
-    his[c] = store_.UpperBoundLive(flipped | LowBitMask(flip));
-    keep[c] = bucket_size;
-  }
-  if (params_.bucket_capacity > 0) {
-    size_t floor_total = 0;
-    for (int c = 0; c < params_.bits; ++c) {
-      keep[c] = los[c] < his[c] ? 1 : 0;
-      floor_total += keep[c];
-    }
-    const size_t capacity = static_cast<size_t>(params_.bucket_capacity);
-    size_t extra = capacity > floor_total ? capacity - floor_total : 0;
-    for (int c = params_.bits - 1; c >= 0 && extra > 0; --c) {
-      if (los[c] >= his[c]) continue;
-      const size_t want = std::min(his[c] - los[c], bucket_size);
-      const size_t add = std::min(extra, want - keep[c]);
-      keep[c] += add;
-      extra -= add;
-    }
-  }
-
   size_t last_nonempty = 0;
   bool any = false;
   for (int c = 0; c < params_.bits; ++c) {
     const int flip = params_.bits - 1 - c;  // bit position that differs
-    const size_t lo = los[c];
-    const size_t hi = his[c];
+    const uint64_t flipped = id ^ (uint64_t{1} << flip);
+    const size_t lo = store_.LowerBoundLive(flipped & ~LowBitMask(flip));
+    const size_t hi = store_.UpperBoundLive(flipped | LowBitMask(flip));
     if (lo < hi) {
-      if (hi - lo <= keep[c]) {
+      if (hi - lo <= bucket_size) {
         scratch_entries_.insert(
             scratch_entries_.end(),
             live.begin() + static_cast<std::ptrdiff_t>(lo),
             live.begin() + static_cast<std::ptrdiff_t>(hi));
       } else {
         scratch_bucket_.clear();
-        CollectXorClosest(live, lo, hi, flip - 1, id, keep[c],
+        CollectXorClosest(live, lo, hi, flip - 1, id, bucket_size,
                           scratch_bucket_);
         std::sort(scratch_bucket_.begin(), scratch_bucket_.end());
         scratch_entries_.insert(scratch_entries_.end(),
@@ -269,22 +171,6 @@ Status KademliaNetwork::StabilizeNode(uint64_t id) {
   // Prune dead auxiliaries (stale-entry removal).
   store_.tables().EraseIf(node.auxiliaries,
                           [this](uint64_t a) { return !IsAlive(a); });
-  return Status::Ok();
-}
-
-void KademliaNetwork::StabilizeAll() {
-  for (uint64_t id : LiveNodeIds()) {
-    (void)StabilizeNode(id);
-  }
-}
-
-Status KademliaNetwork::SetAuxiliaries(uint64_t id,
-                                       std::vector<uint64_t> auxiliaries) {
-  KademliaNode* node = store_.Get(id);
-  if (node == nullptr || !node->alive) {
-    return Status::NotFound("node not alive");
-  }
-  store_.tables().Assign(node->auxiliaries, auxiliaries);
   return Status::Ok();
 }
 
@@ -320,19 +206,6 @@ overlay::RankedHop KademliaNetwork::Rank(const KademliaNode& node,
   for (uint64_t w : BucketEntries(node)) consider(w, HopEntryKind::kBucket);
   for (uint64_t w : Auxiliaries(node)) consider(w, HopEntryKind::kAuxiliary);
   return best;
-}
-
-Status KademliaNetwork::LookupInto(uint64_t origin, uint64_t key,
-                                   RouteResult& out,
-                                   const overlay::RouteOptions& options) const {
-  return overlay::RouteKernel<KademliaNetwork>::LookupInto(*this, origin, key,
-                                                           out, options);
-}
-
-Result<RouteResult> KademliaNetwork::Lookup(
-    uint64_t origin, uint64_t key, const overlay::RouteOptions& options) const {
-  return overlay::RouteKernel<KademliaNetwork>::Lookup(*this, origin, key,
-                                                       options);
 }
 
 }  // namespace peercache::kademlia

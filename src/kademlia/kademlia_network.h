@@ -7,8 +7,7 @@
 
 #include "auxsel/frequency_table.h"
 #include "common/flat_table_arena.h"
-#include "common/node_store.h"
-#include "common/ring_id.h"
+#include "common/overlay.h"
 #include "common/route_kernel.h"
 #include "common/route_result.h"
 #include "common/status.h"
@@ -33,17 +32,6 @@ struct KademliaParams {
   auxsel::FreqSketchParams freq_sketch;
   /// Safety cap on route length before a lookup is declared failed.
   int max_route_hops = 256;
-  /// Total bucket entries materialized per node across every distance
-  /// class; 0 (the default) keeps each class at bucket_size — the
-  /// historical tables. When positive, stabilization sizes every class's
-  /// candidate range first without copying (lazy materialization), floors
-  /// each non-empty class at one entry — the truncation-safety argument
-  /// below needs a representative per useful distance class, never a
-  /// particular one, so stable-mode routing stays exact — and spends the
-  /// remaining budget on the longest-shared-prefix (XOR-closest) classes
-  /// first. Shrinks the ~4.4 KB/node footprint at n = 2^20 (ROADMAP
-  /// scale-frontier headroom).
-  int bucket_capacity = 0;
 };
 
 /// Outcome of one simulated lookup — the shared overlay type
@@ -97,42 +85,16 @@ struct KademliaNode {
 /// distance class. Greedy descent therefore strictly shrinks the XOR
 /// distance each hop and terminates at the global minimizer, which is why
 /// stable-mode delivery is exact (see docs/ALGORITHMS.md).
-class KademliaNetwork {
+class KademliaNetwork : public overlay::OverlayBase<KademliaNetwork,
+                                                     KademliaNode,
+                                                     KademliaParams> {
  public:
-  using NodeType = KademliaNode;
+  explicit KademliaNetwork(const KademliaParams& params)
+      : OverlayBase(params) {}
 
-  explicit KademliaNetwork(const KademliaParams& params);
-
-  const KademliaParams& params() const { return params_; }
-  const IdSpace& space() const { return space_; }
-
-  /// Adds a live node with the given id and builds its buckets from the
-  /// current live membership. Other nodes learn of it only when they next
-  /// stabilize. Fails on duplicate live id.
-  Status AddNode(uint64_t id);
-
-  /// Bulk join for large builds: inserts every id as a live node WITHOUT
-  /// stabilizing (callers run StabilizeAll once after). Fails before any
-  /// mutation on invalid ids.
-  Status BulkAdd(const std::vector<uint64_t>& ids);
-
-  /// Crashes a node: it disappears immediately; other nodes' bucket
-  /// entries pointing at it become stale until their next stabilization.
-  /// Node state (frequency history) is retained for a later rejoin unless
-  /// `forget_state` is set.
-  Status RemoveNode(uint64_t id, bool forget_state = false);
-
-  /// Rejoins a previously crashed node: fresh buckets, empty auxiliaries,
-  /// retained frequency history.
-  Status RejoinNode(uint64_t id);
-
-  bool IsAlive(uint64_t id) const { return store_.IsAlive(id); }
-  size_t live_count() const { return store_.live_count(); }
-  std::vector<uint64_t> LiveNodeIds() const;
-
-  /// Mutable node state (must exist). Nullptr if unknown.
-  KademliaNode* GetNode(uint64_t id) { return store_.Get(id); }
-  const KademliaNode* GetNode(uint64_t id) const { return store_.Get(id); }
+  /// The core table slices a forgetting RemoveNode releases.
+  static constexpr overlay::FlatList KademliaNode::*kCoreTables[] = {
+      &KademliaNode::bucket_entries, &KademliaNode::bucket_ends};
 
   /// Bucket views: `BucketCount` is the number of materialized distance
   /// classes (trailing empty classes absent), `Bucket(node, i)` the
@@ -150,27 +112,6 @@ class KademliaNetwork {
     return BucketEntries(node).subspan(begin,
                                        static_cast<size_t>(ends[i]) - begin);
   }
-  std::span<const uint64_t> Auxiliaries(const KademliaNode& node) const {
-    return store_.tables().View(node.auxiliaries);
-  }
-
-  /// Auxiliary list of `id` (empty when the node is unknown).
-  std::span<const uint64_t> AuxiliarySpan(uint64_t id) const {
-    const KademliaNode* node = store_.Get(id);
-    return node == nullptr ? std::span<const uint64_t>{} : Auxiliaries(*node);
-  }
-
-  /// Removes every occurrence of `entry` from `id`'s auxiliary list.
-  void EraseAuxiliary(uint64_t id, uint64_t entry) {
-    if (KademliaNode* node = store_.Get(id)) {
-      store_.tables().EraseValue(node->auxiliaries, entry);
-    }
-  }
-
-  /// Footprint accounting (node records + indices + routing arena).
-  overlay::StoreMemoryStats MemoryUsage() const {
-    return store_.MemoryUsage();
-  }
 
   /// Ground truth: the live node XOR-closest to `key`. Found by a bit
   /// descent over the sorted live-id array (the XOR minimizer is not a
@@ -178,24 +119,11 @@ class KademliaNetwork {
   /// is empty.
   Result<uint64_t> ResponsibleNode(uint64_t key) const;
 
-  /// Routes a lookup for `key` from `origin` over current (possibly stale)
-  /// tables into a caller-owned result through overlay::RouteKernel. Does
-  /// not record frequencies; callers decide what to observe. `out` is
-  /// cleared first but keeps its path capacity, so a reused RouteResult
-  /// makes the steady-state lookup path allocation-free. `options` carries
-  /// the optional trace (XOR distance remaining per hop), fault plan and
-  /// latency model (see overlay::RouteOptions).
-  Status LookupInto(uint64_t origin, uint64_t key, RouteResult& out,
-                    const overlay::RouteOptions& options = {}) const;
-
-  /// By-value convenience form of LookupInto.
-  Result<RouteResult> Lookup(uint64_t origin, uint64_t key,
-                             const overlay::RouteOptions& options = {}) const;
-
   /// The kernel's ranking step (overlay::RouteKernel): greedy XOR descent
   /// over `node`'s usable entries, the one XOR-closest to the key if it is
-  /// strictly closer than `current` (else `next == current`). No latch.
-  /// Defined in kademlia_network.cc, where the kernel is instantiated.
+  /// strictly closer than `current` (else `next == current`). No latch;
+  /// the trace metric is the XOR distance remaining. Defined in
+  /// kademlia_network.cc, where the kernel is instantiated.
   template <typename Usable>
   overlay::RankedHop Rank(const KademliaNode& node, uint64_t current,
                           uint64_t key, bool latch,
@@ -243,22 +171,12 @@ class KademliaNetwork {
   /// auxiliary entries are marked/removed; fixed at the next selection").
   Status StabilizeNode(uint64_t id);
 
-  /// Stabilizes every live node.
-  void StabilizeAll();
-
-  /// Installs auxiliary neighbors on a node (ids need not be alive; dead
-  /// ones are simply useless until pruned). Serial-only: writes the arena.
-  Status SetAuxiliaries(uint64_t id, std::vector<uint64_t> auxiliaries);
-
   /// Builds the core-neighbor list (all bucket entries, deduplicated) used
   /// as N_s for auxiliary selection at this node.
   std::vector<uint64_t> CoreNeighborIds(uint64_t id) const;
 
  private:
-  KademliaParams params_;
-  IdSpace space_;
-  overlay::NodeStore<KademliaNode> store_;  // all nodes ever seen
-  std::vector<uint64_t> scratch_entries_;   // stabilize buffers (serial)
+  std::vector<uint64_t> scratch_entries_;  // stabilize buffers (serial)
   std::vector<uint64_t> scratch_ends_;
   std::vector<uint64_t> scratch_bucket_;
 };

@@ -246,12 +246,7 @@ Status ActorHost<Net>::ApplyControl(Net& net, const AnyMessage& msg) {
     return net.AddNode(join->node_id);
   }
   if (const auto* leave = std::get_if<Leave>(&msg)) {
-    if constexpr (requires(Net& n) { n.RemoveNode(uint64_t{0}, true); }) {
-      return net.RemoveNode(leave->node_id, leave->forget_state != 0);
-    } else {
-      // Pastry retains crashed-node state unconditionally.
-      return net.RemoveNode(leave->node_id);
-    }
+    return net.RemoveNode(leave->node_id, leave->forget_state != 0);
   }
   if (const auto* stab = std::get_if<Stabilize>(&msg)) {
     if (stab->node_id == kAllNodes) {

@@ -59,8 +59,8 @@ class ActorHost {
 
   /// Applies one control-plane message to the overlay (serial only).
   /// JOIN rejoins a known crashed node and adds an unknown one; LEAVE
-  /// crashes (forgetting state when the overlay supports it); STABILIZE
-  /// targets one node or, with kAllNodes, every live node.
+  /// crashes, forgetting the node's state when `forget_state` is set;
+  /// STABILIZE targets one node or, with kAllNodes, every live node.
   static Status ApplyControl(Net& net, const AnyMessage& msg);
 
  private:

@@ -265,7 +265,7 @@ struct Join {
 
 struct Leave {
   uint64_t node_id = 0;
-  uint8_t forget_state = 0;  // overlays without state-forgetting ignore it
+  uint8_t forget_state = 0;  // nonzero: drop frequencies and tables too
   friend bool operator==(const Leave&, const Leave&) = default;
 };
 

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <utility>
 
 #include "common/bits.h"
-#include "common/overlay.h"
 
 namespace peercache::pastry {
 
@@ -22,84 +20,6 @@ double EuclideanDistance(const Coord& a, const Coord& b) {
 }
 
 }  // namespace
-
-PastryNetwork::PastryNetwork(const PastryParams& params, uint64_t seed)
-    : params_(params), space_(params.bits), coord_rng_(seed) {}
-
-std::vector<uint64_t> PastryNetwork::LiveNodeIds() const {
-  return store_.live_ids();
-}
-
-overlay::StoreMemoryStats PastryNetwork::MemoryUsage() const {
-  overlay::StoreMemoryStats s = store_.MemoryUsage();
-  // The coordinates are node-record data kept beside the store.
-  const size_t coord_bytes = coords_.capacity() * sizeof(Coord);
-  s.node_bytes += coord_bytes;
-  if (store_.size() != 0) {
-    s.bytes_per_node += static_cast<double>(coord_bytes) /
-                        static_cast<double>(store_.size());
-  }
-  return s;
-}
-
-void PastryNetwork::EmplaceNode(uint64_t id) {
-  auto [node, inserted] =
-      store_.Emplace(id, params_.frequency_capacity, params_.freq_sketch);
-  if (inserted) {
-    // The new slot is store_.size() - 1 == coords_.size().
-    coords_.push_back(
-        Coord{coord_rng_.UniformDouble(), coord_rng_.UniformDouble()});
-  }
-  node->id = id;
-  node->alive = true;
-  store_.tables().Clear(node->auxiliaries);
-}
-
-Status PastryNetwork::AddNode(uint64_t id) {
-  if (!space_.Contains(id)) return Status::InvalidArgument("id out of range");
-  if (store_.IsAlive(id)) {
-    return Status::InvalidArgument("live id already used");
-  }
-  EmplaceNode(id);
-  store_.MarkAlive(id);
-  return StabilizeNode(id);
-}
-
-Status PastryNetwork::BulkAdd(const std::vector<uint64_t>& ids) {
-  for (uint64_t id : ids) {
-    if (!space_.Contains(id)) {
-      return Status::InvalidArgument("id out of range");
-    }
-    if (store_.IsAlive(id)) {
-      return Status::InvalidArgument("live id already used");
-    }
-  }
-  store_.Reserve(store_.size() + ids.size());
-  coords_.reserve(store_.size() + ids.size());
-  for (uint64_t id : ids) EmplaceNode(id);
-  store_.BulkMarkAlive(ids);
-  return Status::Ok();
-}
-
-Status PastryNetwork::RemoveNode(uint64_t id) {
-  PastryNode* node = store_.Get(id);
-  if (node == nullptr || !node->alive) {
-    return Status::NotFound("node not alive");
-  }
-  node->alive = false;
-  store_.MarkDead(id);
-  return Status::Ok();
-}
-
-Status PastryNetwork::RejoinNode(uint64_t id) {
-  PastryNode* node = store_.Get(id);
-  if (node == nullptr) return Status::NotFound("unknown node");
-  if (node->alive) return Status::FailedPrecondition("already alive");
-  node->alive = true;
-  store_.tables().Clear(node->auxiliaries);
-  store_.MarkAlive(id);
-  return StabilizeNode(id);
-}
 
 Status PastryNetwork::StabilizeNode(uint64_t id) {
   const uint32_t self_slot = store_.SlotOf(id);
@@ -183,22 +103,6 @@ Status PastryNetwork::StabilizeNode(uint64_t id) {
 
   tables.EraseIf(node.auxiliaries,
                  [this](uint64_t a) { return !IsAlive(a); });
-  return Status::Ok();
-}
-
-void PastryNetwork::StabilizeAll() {
-  for (uint64_t id : LiveNodeIds()) {
-    (void)StabilizeNode(id);
-  }
-}
-
-Status PastryNetwork::SetAuxiliaries(uint64_t id,
-                                     std::vector<uint64_t> auxiliaries) {
-  PastryNode* node = store_.Get(id);
-  if (node == nullptr || !node->alive) {
-    return Status::NotFound("node not alive");
-  }
-  store_.tables().Assign(node->auxiliaries, auxiliaries);
   return Status::Ok();
 }
 
@@ -396,19 +300,6 @@ overlay::RankedHop PastryNetwork::Rank(const PastryNode& node,
   if (next == kNoEntry) return out;
   return {next, prefix_remaining(next), next_kind, /*final_hop=*/false,
           /*sets_latch=*/numeric};
-}
-
-Status PastryNetwork::LookupInto(uint64_t origin, uint64_t key,
-                                 RouteResult& out,
-                                 const overlay::RouteOptions& options) const {
-  return overlay::RouteKernel<PastryNetwork>::LookupInto(*this, origin, key,
-                                                         out, options);
-}
-
-Result<RouteResult> PastryNetwork::Lookup(
-    uint64_t origin, uint64_t key, const overlay::RouteOptions& options) const {
-  return overlay::RouteKernel<PastryNetwork>::Lookup(*this, origin, key,
-                                                     options);
 }
 
 }  // namespace peercache::pastry

@@ -8,8 +8,8 @@
 #include "auxsel/frequency_table.h"
 #include "common/flat_table_arena.h"
 #include "common/node_store.h"
+#include "common/overlay.h"
 #include "common/random.h"
-#include "common/ring_id.h"
 #include "common/route_kernel.h"
 #include "common/route_result.h"
 #include "common/status.h"
@@ -87,42 +87,26 @@ struct PastryNode {
 /// the key (standard Pastry rule); delivery happens at the numerically
 /// closest live node.
 ///
-/// Node state lives in an overlay::NodeStore (common/node_store.h): the
-/// liveness probes in the routing loop and the sorted-ring scans in
-/// stabilization and delivery walk flat id-sorted arrays, and routing
-/// tables are contiguous arena slices (common/flat_table_arena.h).
-class PastryNetwork {
+/// Node state lives in the overlay::NodeStore of the shared membership
+/// layer (overlay::OverlayBase, common/overlay.h): the liveness probes in
+/// the routing loop and the sorted-ring scans in stabilization and delivery
+/// walk flat id-sorted arrays, and routing tables are contiguous arena
+/// slices (common/flat_table_arena.h).
+class PastryNetwork
+    : public overlay::OverlayBase<PastryNetwork, PastryNode, PastryParams> {
  public:
-  using NodeType = PastryNode;
-
   static constexpr uint64_t kNoEntry = ~uint64_t{0};
 
-  /// `seed` drives the underlay coordinate assignment.
-  PastryNetwork(const PastryParams& params, uint64_t seed);
+  /// `seed` drives the underlay coordinates, drawn in slot order: a new id
+  /// draws its own when first added (in `ids` order within a BulkAdd), and
+  /// a departed id re-added keeps the ones it had.
+  PastryNetwork(const PastryParams& params, uint64_t seed)
+      : OverlayBase(params), coord_rng_(seed) {}
 
-  const PastryParams& params() const { return params_; }
-  const IdSpace& space() const { return space_; }
-
-  /// Adds a live node and builds its tables. A new id draws random underlay
-  /// coordinates; a departed id re-added keeps the ones it had.
-  Status AddNode(uint64_t id);
-
-  /// Bulk join for large builds: inserts every id live (drawing underlay
-  /// coordinates in `ids` order) WITHOUT stabilizing; callers run
-  /// StabilizeAll once after. Fails before any mutation on invalid ids.
-  Status BulkAdd(const std::vector<uint64_t>& ids);
-
-  /// Crashes a node (state retained for rejoin).
-  Status RemoveNode(uint64_t id);
-  /// Rejoins a crashed node with fresh tables and cleared auxiliaries.
-  Status RejoinNode(uint64_t id);
-
-  bool IsAlive(uint64_t id) const { return store_.IsAlive(id); }
-  size_t live_count() const { return store_.live_count(); }
-  std::vector<uint64_t> LiveNodeIds() const;
-
-  PastryNode* GetNode(uint64_t id) { return store_.Get(id); }
-  const PastryNode* GetNode(uint64_t id) const { return store_.Get(id); }
+  /// The core table slices a forgetting RemoveNode releases.
+  static constexpr overlay::FlatList PastryNode::*kCoreTables[] = {
+      &PastryNode::routing_rows, &PastryNode::leaf_succ,
+      &PastryNode::leaf_pred};
 
   /// Underlay coordinates of `id` (fixed when the id is first added,
   /// retained across departures); nullptr if the id was never added.
@@ -147,49 +131,18 @@ class PastryNetwork {
   std::span<const uint64_t> LeafPred(const PastryNode& node) const {
     return store_.tables().View(node.leaf_pred);
   }
-  std::span<const uint64_t> Auxiliaries(const PastryNode& node) const {
-    return store_.tables().View(node.auxiliaries);
-  }
-
-  /// Auxiliary list of `id` (empty when the node is unknown).
-  std::span<const uint64_t> AuxiliarySpan(uint64_t id) const {
-    const PastryNode* node = store_.Get(id);
-    return node == nullptr ? std::span<const uint64_t>{} : Auxiliaries(*node);
-  }
-
-  /// Removes every occurrence of `entry` from `id`'s auxiliary list.
-  void EraseAuxiliary(uint64_t id, uint64_t entry) {
-    if (PastryNode* node = store_.Get(id)) {
-      store_.tables().EraseValue(node->auxiliaries, entry);
-    }
-  }
-
-  /// Footprint accounting (node records and their coordinates + indices +
-  /// routing arena).
-  overlay::StoreMemoryStats MemoryUsage() const;
 
   /// Ground truth: numerically closest live node to the key (ring metric;
   /// the lower id wins exact ties). Fails on an empty overlay.
   Result<uint64_t> ResponsibleNode(uint64_t key) const;
 
-  /// Routes a lookup from `origin` over current tables into a caller-owned
-  /// result through overlay::RouteKernel (cleared first, path capacity
-  /// retained — reuse makes the steady-state lookup path allocation-free).
-  /// `options` carries the optional trace (prefix digits remaining per
-  /// hop), fault plan and latency model (see overlay::RouteOptions); R1's
-  /// final leaf-set delivery hop is a forwarding attempt like any other.
-  Status LookupInto(uint64_t origin, uint64_t key, RouteResult& out,
-                    const overlay::RouteOptions& options = {}) const;
-
-  /// By-value convenience form of LookupInto.
-  Result<RouteResult> Lookup(uint64_t origin, uint64_t key,
-                             const overlay::RouteOptions& options = {}) const;
-
   /// The kernel's ranking step (overlay::RouteKernel) over `node`'s usable
   /// entries: exact hit, R1 leaf-set delivery (a `final_hop`, scanned with
   /// `usable(w, true)`), R2 prefix routing unless `latch` (numeric mode) is
-  /// set, R3 numeric fallback (`sets_latch`). Defined in
-  /// pastry_network.cc, where the kernel is instantiated.
+  /// set, R3 numeric fallback (`sets_latch`). R1's delivery hop is a
+  /// forwarding attempt like any other, and the trace metric is the prefix
+  /// digits remaining. Defined in pastry_network.cc, where the kernel is
+  /// instantiated.
   template <typename Usable>
   overlay::RankedHop Rank(const PastryNode& node, uint64_t current,
                           uint64_t key, bool latch,
@@ -237,23 +190,23 @@ class PastryNetwork {
   /// proximity-aware row filling (closest candidate per row), and prunes
   /// dead auxiliaries.
   Status StabilizeNode(uint64_t id);
-  void StabilizeAll();
-
-  /// Serial-only: writes the arena.
-  Status SetAuxiliaries(uint64_t id, std::vector<uint64_t> auxiliaries);
 
   /// Core neighbors for auxiliary selection: routing rows + leaf set.
   std::vector<uint64_t> CoreNeighborIds(uint64_t id) const;
 
  private:
-  /// Emplaces `id` as a live record with cleared auxiliaries (not yet in
-  /// the live arrays), drawing its coordinates if the id is new.
-  void EmplaceNode(uint64_t id);
+  friend OverlayBase;
 
-  PastryParams params_;
-  IdSpace space_;
+  // OverlayBase hooks: the coordinates are slot-indexed node-record data
+  // kept beside the store.
+  void OnSlotCreated() {
+    coords_.push_back(
+        Coord{coord_rng_.UniformDouble(), coord_rng_.UniformDouble()});
+  }
+  void ReserveSlots(size_t slots) { coords_.reserve(slots); }
+  size_t SideBytes() const { return coords_.capacity() * sizeof(Coord); }
+
   Rng coord_rng_;
-  overlay::NodeStore<PastryNode> store_;
   std::vector<Coord> coords_;      // slot-indexed, parallel to store_
   std::vector<uint64_t> scratch_;  // stabilize build buffer (serial)
 };

@@ -1,16 +1,18 @@
-// Differential tests for the persistent Kademlia maintainer: randomized
-// delta streams must stay cost-equal to a fresh SelectKademliaFast (and,
-// transitively through the selector differential suite, to the independent
-// XOR-metric range DP) at every step, plus the maintainer-contract edge
-// cases every backend must honor (departed cores, empty state, cached
-// reselection).
+// Differential tests for Kademlia's persistent maintainer, which is
+// PastryAuxMaintainer (the XOR estimate is the trie distance with one-bit
+// digits): randomized delta streams must stay cost-equal at every step to
+// the independent XOR-metric range DP (SelectKademliaDp), and the
+// incremental pricing must equal the XOR evaluator (EvaluateKademliaCost).
+// The maintainer-contract edge cases (departed cores, empty state, cached
+// reselection) are checked here against the XOR references as well.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
-#include "auxsel/kademlia_fast.h"
-#include "auxsel/kademlia_maintainer.h"
+#include "auxsel/kademlia_dp.h"
+#include "auxsel/pastry_maintainer.h"
 #include "auxsel/selection_types.h"
 #include "common/random.h"
 #include "maintainer_test_util.h"
@@ -24,22 +26,22 @@ using ::peercache::auxsel::testing::ReplayDeltasAgainstFresh;
 
 TEST(KademliaMaintainer, RandomDeltaStreamMatchesFreshSelect) {
   Rng rng(0x4ad701);
-  KademliaAuxMaintainer m(/*bits=*/12, /*k=*/4, /*self_id=*/99);
-  ReplayDeltasAgainstFresh(m, SelectKademliaFast, EvaluateKademliaCost, rng,
+  PastryAuxMaintainer m(/*bits=*/12, /*k=*/4, /*self_id=*/99);
+  ReplayDeltasAgainstFresh(m, SelectKademliaDp, EvaluateKademliaCost, rng,
                            /*steps=*/250);
 }
 
 TEST(KademliaMaintainer, SecondSeedAndLargerBudget) {
   Rng rng(0x4ad702);
-  KademliaAuxMaintainer m(/*bits=*/16, /*k=*/8, /*self_id=*/0x7777);
-  ReplayDeltasAgainstFresh(m, SelectKademliaFast, EvaluateKademliaCost, rng,
+  PastryAuxMaintainer m(/*bits=*/16, /*k=*/8, /*self_id=*/0x7777);
+  ReplayDeltasAgainstFresh(m, SelectKademliaDp, EvaluateKademliaCost, rng,
                            /*steps=*/200);
 }
 
 TEST(KademliaMaintainer, IncrementalCostPricingMatchesEq1) {
-  // BaseCost − TotalGain pricing against the reference evaluator on a
-  // handmade instance where the numbers are easy to audit by hand.
-  KademliaAuxMaintainer m(/*bits=*/8, /*k=*/1, /*self_id=*/0);
+  // BaseCost − TotalGain pricing against the XOR evaluator on a handmade
+  // instance where the numbers are easy to audit by hand.
+  PastryAuxMaintainer m(/*bits=*/8, /*k=*/1, /*self_id=*/0);
   ASSERT_TRUE(m.OnPeerJoin(0b10000000, 10.0).ok());
   ASSERT_TRUE(m.OnPeerJoin(0b10000001, 5.0).ok());
   ASSERT_TRUE(m.SetCores({0b01000000}).ok());
@@ -50,7 +52,7 @@ TEST(KademliaMaintainer, IncrementalCostPricingMatchesEq1) {
 }
 
 TEST(KademliaMaintainer, DepartedCoreStaysUntilSetCoresDropsIt) {
-  KademliaAuxMaintainer m(/*bits=*/8, /*k=*/2, /*self_id=*/0);
+  PastryAuxMaintainer m(/*bits=*/8, /*k=*/2, /*self_id=*/0);
   ASSERT_TRUE(m.SetCores({64, 128}).ok());
   ASSERT_TRUE(m.OnPeerJoin(10, 5.0).ok());
   ASSERT_TRUE(m.OnPeerJoin(64, 3.0).ok());
@@ -66,25 +68,31 @@ TEST(KademliaMaintainer, DepartedCoreStaysUntilSetCoresDropsIt) {
   EXPECT_EQ(m.tracked_peers(), 2u);  // zero-frequency ex-core dropped
   auto inc = m.Reselect();
   ASSERT_TRUE(inc.ok());
-  auto ref = SelectKademliaFast(m.FreshInput());
+  auto ref = SelectKademliaDp(m.FreshInput());
   ASSERT_TRUE(ref.ok());
   EXPECT_NEAR(inc->cost, ref->cost, 1e-12);
+  EXPECT_NEAR(inc->cost, EvaluateKademliaCost(m.FreshInput(), inc->chosen),
+              1e-12);
 }
 
 TEST(KademliaMaintainer, EmptyStateSelectsNothing) {
-  KademliaAuxMaintainer m(/*bits=*/8, /*k=*/3, /*self_id=*/7);
+  PastryAuxMaintainer m(/*bits=*/8, /*k=*/3, /*self_id=*/7);
   auto sel = m.Reselect();
   ASSERT_TRUE(sel.ok()) << sel.status();
   EXPECT_TRUE(sel->chosen.empty());
   EXPECT_EQ(sel->cost, 0.0);
   EXPECT_EQ(m.total_frequency(), 0.0);
+  auto ref = SelectKademliaDp(m.FreshInput());
+  ASSERT_TRUE(ref.ok()) << ref.status();
+  EXPECT_TRUE(ref->chosen.empty());
+  EXPECT_EQ(ref->cost, 0.0);
 }
 
 TEST(KademliaMaintainer, NoDeltasReturnsCachedSelection) {
   Rng rng(0x4ad703);
   SelectionInput input =
       RandomInput(rng, /*bits=*/10, /*n_peers=*/25, /*n_cores=*/4, /*k=*/3);
-  KademliaAuxMaintainer m(input.bits, input.k, input.self_id);
+  PastryAuxMaintainer m(input.bits, input.k, input.self_id);
   ASSERT_TRUE(m.SetCores(input.core_ids).ok());
   for (const PeerFreq& p : input.peers) {
     if (p.frequency > 0.0) {
@@ -93,6 +101,11 @@ TEST(KademliaMaintainer, NoDeltasReturnsCachedSelection) {
   }
   auto first = m.Reselect();
   ASSERT_TRUE(first.ok());
+  // The range DP sums in a different order than the trie, so the two
+  // selectors agree to the relative tolerance ReplayDeltasAgainstFresh uses.
+  auto ref = SelectKademliaDp(m.FreshInput());
+  ASSERT_TRUE(ref.ok());
+  EXPECT_NEAR(first->cost, ref->cost, 1e-9 * (1.0 + std::abs(ref->cost)));
   // Idempotent deltas must leave the cached selection untouched.
   for (const PeerFreq& p : input.peers) {
     if (p.frequency > 0.0) {

@@ -1,5 +1,6 @@
 // Unit tests for the Kademlia XOR-metric selection stack: brute-force
-// optimality of the DP and fast selectors on small instances, the
+// optimality under the XOR evaluator of the DP and of the fast path
+// (SelectPastryGreedy, which KademliaPolicy selects with), the
 // bitlen(u XOR v) = b - lcp(u, v) identity that makes the Pastry trie
 // machinery serve the XOR geometry, the honest-cost contract, structural
 // properties of the chosen sets, and the oblivious baseline's slice
@@ -13,8 +14,8 @@
 #include <vector>
 
 #include "auxsel/kademlia_dp.h"
-#include "auxsel/kademlia_fast.h"
 #include "auxsel/oblivious.h"
+#include "auxsel/pastry_greedy.h"
 #include "auxsel/selection_types.h"
 #include "common/bits.h"
 #include "common/random.h"
@@ -46,7 +47,7 @@ TEST(KademliaSelector, FastMatchesBruteForceOnSmallInstances) {
   for (int trial = 0; trial < 30; ++trial) {
     SelectionInput input = RandomInput(rng, /*bits=*/8, /*n_peers=*/10,
                                        /*n_cores=*/3, /*k=*/2);
-    auto fast = SelectKademliaFast(input);
+    auto fast = SelectPastryGreedy(input);
     ASSERT_TRUE(fast.ok()) << fast.status();
     const double best = BruteForceBestCost(input, EvaluateKademliaCost);
     EXPECT_NEAR(fast->cost, best, RelTol(best)) << "trial " << trial;
@@ -89,7 +90,7 @@ TEST(KademliaSelector, ChosenAreSortedDistinctCandidates) {
   for (int trial = 0; trial < 20; ++trial) {
     SelectionInput input = RandomInput(rng, /*bits=*/12, /*n_peers=*/48,
                                        /*n_cores=*/6, /*k=*/5);
-    for (auto* select : {&SelectKademliaDp, &SelectKademliaFast}) {
+    for (auto* select : {&SelectKademliaDp, &SelectPastryGreedy}) {
       auto sel = (*select)(input);
       ASSERT_TRUE(sel.ok()) << sel.status();
       EXPECT_LE(sel->chosen.size(), static_cast<size_t>(input.k));
@@ -112,7 +113,7 @@ TEST(KademliaSelector, NoPeersSelectsNothing) {
   input.k = 3;
   input.self_id = 1;
   input.core_ids = {2};
-  for (auto* select : {&SelectKademliaDp, &SelectKademliaFast}) {
+  for (auto* select : {&SelectKademliaDp, &SelectPastryGreedy}) {
     auto sel = (*select)(input);
     ASSERT_TRUE(sel.ok()) << sel.status();
     EXPECT_TRUE(sel->chosen.empty());
@@ -124,7 +125,7 @@ TEST(KademliaSelector, ZeroBudgetPricesCoreOnlyCost) {
   Rng rng(0x4ad805);
   SelectionInput input = RandomInput(rng, /*bits=*/10, /*n_peers=*/20,
                                      /*n_cores=*/4, /*k=*/0);
-  for (auto* select : {&SelectKademliaDp, &SelectKademliaFast}) {
+  for (auto* select : {&SelectKademliaDp, &SelectPastryGreedy}) {
     auto sel = (*select)(input);
     ASSERT_TRUE(sel.ok()) << sel.status();
     EXPECT_TRUE(sel->chosen.empty());
@@ -152,7 +153,7 @@ TEST(KademliaSelector, ObliviousRespectsBudgetAndHonestCost) {
     EXPECT_NEAR(sel->cost, EvaluateKademliaCost(input, sel->chosen),
                 RelTol(sel->cost));
     // The optimal selector can never do worse than a frequency-blind draw.
-    auto opt = SelectKademliaFast(input);
+    auto opt = SelectPastryGreedy(input);
     ASSERT_TRUE(opt.ok());
     EXPECT_LE(opt->cost, sel->cost + RelTol(sel->cost));
   }
@@ -185,11 +186,11 @@ TEST(KademliaSelector, RejectsInvalidInput) {
   input.k = -1;  // negative budget
   input.self_id = 1;
   EXPECT_FALSE(SelectKademliaDp(input).ok());
-  EXPECT_FALSE(SelectKademliaFast(input).ok());
+  EXPECT_FALSE(SelectPastryGreedy(input).ok());
   input.k = 2;
   input.peers.push_back(PeerFreq{1, 5.0, -1});  // peer == self
   EXPECT_FALSE(SelectKademliaDp(input).ok());
-  EXPECT_FALSE(SelectKademliaFast(input).ok());
+  EXPECT_FALSE(SelectPastryGreedy(input).ok());
 }
 
 }  // namespace

@@ -21,8 +21,9 @@ namespace peercache::auxsel::testing {
 /// so neither the delta bookkeeping nor the incremental cost pricing can
 /// drift from the one-shot selectors.
 ///
-/// `fresh` is the one-shot selector (SelectPastryGreedy / SelectChordFast);
-/// `eval` the reference evaluator (EvaluatePastryCost / EvaluateChordCost).
+/// `fresh` is a one-shot selector (SelectPastryGreedy / SelectChordFast /
+/// SelectKademliaDp); `eval` the reference evaluator (EvaluatePastryCost /
+/// EvaluateChordCost / EvaluateKademliaCost).
 template <Maintainer M, typename FreshSelect, typename EvalCost>
 void ReplayDeltasAgainstFresh(M& m, FreshSelect fresh, EvalCost eval,
                               Rng& rng, int steps) {

@@ -1,5 +1,6 @@
 // Failure-injection tests: the Chord overlay under adversarial membership
-// changes, partial stabilization, and stale auxiliary state.
+// changes and partial stabilization. What a leave keeps or forgets is
+// tested for every overlay in tests/overlay/membership_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -10,36 +11,6 @@
 
 namespace peercache::chord {
 namespace {
-
-TEST(ChordChurn, FrequenciesSurviveCrashAndRejoin) {
-  ChordParams params;
-  params.bits = 16;
-  ChordNetwork net(params);
-  ASSERT_TRUE(net.AddNode(100).ok());
-  ASSERT_TRUE(net.AddNode(2000).ok());
-  ASSERT_TRUE(net.AddNode(40000).ok());
-  net.GetNode(100)->frequencies.Record(2000);
-  net.GetNode(100)->frequencies.Record(2000);
-
-  ASSERT_TRUE(net.RemoveNode(100).ok());
-  ASSERT_TRUE(net.RejoinNode(100).ok());
-  EXPECT_EQ(net.GetNode(100)->frequencies.total(), 2u)
-      << "history retained across restart (a DNS server keeps its stats)";
-  EXPECT_TRUE(net.AuxiliarySpan(100).empty())
-      << "auxiliaries are routing state and are lost on crash";
-}
-
-TEST(ChordChurn, ForgetStateClearsEverything) {
-  ChordParams params;
-  params.bits = 16;
-  ChordNetwork net(params);
-  ASSERT_TRUE(net.AddNode(100).ok());
-  ASSERT_TRUE(net.AddNode(2000).ok());
-  net.GetNode(100)->frequencies.Record(2000);
-  ASSERT_TRUE(net.RemoveNode(100, /*forget_state=*/true).ok());
-  ASSERT_TRUE(net.RejoinNode(100).ok());
-  EXPECT_EQ(net.GetNode(100)->frequencies.total(), 0u);
-}
 
 TEST(ChordChurn, FlappingNodeNeverCorruptsRouting) {
   Rng rng(1111);

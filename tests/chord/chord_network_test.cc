@@ -22,24 +22,6 @@ ChordNetwork MakeNetwork(int bits, const std::vector<uint64_t>& ids) {
   return net;
 }
 
-TEST(ChordNetwork, AddRemoveRejoin) {
-  ChordParams params;
-  params.bits = 8;
-  ChordNetwork net(params);
-  ASSERT_TRUE(net.AddNode(10).ok());
-  ASSERT_TRUE(net.AddNode(200).ok());
-  EXPECT_EQ(net.live_count(), 2u);
-  EXPECT_FALSE(net.AddNode(10).ok()) << "duplicate live id";
-  EXPECT_FALSE(net.AddNode(256).ok()) << "out of range";
-
-  ASSERT_TRUE(net.RemoveNode(10).ok());
-  EXPECT_FALSE(net.IsAlive(10));
-  EXPECT_FALSE(net.RemoveNode(10).ok()) << "already dead";
-  ASSERT_TRUE(net.RejoinNode(10).ok());
-  EXPECT_TRUE(net.IsAlive(10));
-  EXPECT_FALSE(net.RejoinNode(10).ok()) << "already alive";
-}
-
 TEST(ChordNetwork, ResponsibleNodeIsPredecessor) {
   ChordNetwork net = MakeNetwork(8, {10, 100, 200});
   // Paper variant: a key belongs to the last node at-or-before it.
@@ -146,16 +128,6 @@ TEST(ChordNetwork, AuxiliariesHelpOnAggregate) {
     after += route->hops;
   }
   EXPECT_LE(after, before);
-}
-
-TEST(ChordNetwork, StabilizationPrunesDeadAuxiliaries) {
-  ChordNetwork net = MakeNetwork(8, {1, 50, 100, 150, 200});
-  ASSERT_TRUE(net.SetAuxiliaries(1, {100, 150}).ok());
-  ASSERT_TRUE(net.RemoveNode(150).ok());
-  ASSERT_TRUE(net.StabilizeNode(1).ok());
-  const auto aux = net.AuxiliarySpan(1);
-  EXPECT_EQ(std::vector<uint64_t>(aux.begin(), aux.end()),
-            (std::vector<uint64_t>{100}));
 }
 
 TEST(ChordNetwork, RoutingSkipsDeadEntriesAfterCrash) {

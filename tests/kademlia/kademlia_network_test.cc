@@ -1,9 +1,10 @@
-// Unit tests for the Kademlia overlay simulator: membership lifecycle,
-// XOR-minimizer key ownership (cross-checked against brute force — the
-// responsible node is NOT a numeric neighbor), bucket structure and
-// capacity truncation, exact greedy routing on fresh tables (including the
-// truncation-safety theorem at bucket_size = 1), stale-table degradation,
-// auxiliary shortcuts and hop-kind accounting, and the trace contract.
+// Unit tests for the Kademlia overlay simulator: XOR-minimizer key
+// ownership (cross-checked against brute force — the responsible node is
+// NOT a numeric neighbor), bucket structure and bucket_size truncation,
+// exact greedy routing on fresh tables (including the truncation-safety
+// theorem at bucket_size = 1), stale-table degradation, auxiliary
+// shortcuts and hop-kind accounting, and the trace contract. Membership is
+// tested once for every overlay in tests/overlay/membership_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -34,28 +35,6 @@ uint64_t XorClosest(const std::vector<uint64_t>& live, uint64_t key) {
     if ((id ^ key) < (best ^ key)) best = id;
   }
   return best;
-}
-
-TEST(KademliaNetwork, MembershipLifecycle) {
-  KademliaNetwork net(SmallParams());
-  ASSERT_TRUE(net.AddNode(5).ok());
-  ASSERT_TRUE(net.AddNode(9).ok());
-  EXPECT_TRUE(net.IsAlive(5));
-  EXPECT_EQ(net.live_count(), 2u);
-  EXPECT_EQ(net.AddNode(5).code(), StatusCode::kInvalidArgument)
-      << "duplicate live id";
-  EXPECT_EQ(net.AddNode(uint64_t{1} << 10).code(),
-            StatusCode::kInvalidArgument)
-      << "id out of range for the 10-bit space";
-  EXPECT_EQ(net.RemoveNode(77).code(), StatusCode::kNotFound);
-  ASSERT_TRUE(net.RemoveNode(5).ok());
-  EXPECT_FALSE(net.IsAlive(5));
-  EXPECT_EQ(net.RemoveNode(5).code(), StatusCode::kNotFound)
-      << "already dead";
-  ASSERT_TRUE(net.RejoinNode(5).ok());
-  EXPECT_TRUE(net.IsAlive(5));
-  EXPECT_EQ(net.RejoinNode(5).code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(net.RejoinNode(1234).code(), StatusCode::kNotFound);
 }
 
 TEST(KademliaNetwork, ResponsibleNodeMatchesBruteForce) {
@@ -262,48 +241,6 @@ TEST(KademliaNetwork, CoreNeighborIdsAreSortedAndDeduplicated) {
   EXPECT_TRUE(net.CoreNeighborIds(9999).empty()) << "unknown node";
 }
 
-TEST(KademliaNetwork, StabilizePrunesDeadAuxiliaries) {
-  KademliaNetwork net(SmallParams(8));
-  ASSERT_TRUE(net.AddNode(1).ok());
-  ASSERT_TRUE(net.AddNode(2).ok());
-  ASSERT_TRUE(net.AddNode(3).ok());
-  ASSERT_TRUE(net.SetAuxiliaries(1, {2, 3}).ok());
-  ASSERT_TRUE(net.RemoveNode(3).ok());
-  ASSERT_TRUE(net.StabilizeNode(1).ok());
-  const KademliaNode* node = net.GetNode(1);
-  ASSERT_NE(node, nullptr);
-  const auto aux = net.Auxiliaries(*node);
-  EXPECT_EQ(std::vector<uint64_t>(aux.begin(), aux.end()),
-            (std::vector<uint64_t>{2}));
-  EXPECT_EQ(net.SetAuxiliaries(3, {}).code(), StatusCode::kNotFound)
-      << "cannot install auxiliaries on a dead node";
-}
-
-TEST(KademliaNetwork, RejoinKeepsFrequenciesDropsAuxiliaries) {
-  KademliaNetwork net(SmallParams(8));
-  ASSERT_TRUE(net.AddNode(1).ok());
-  ASSERT_TRUE(net.AddNode(2).ok());
-  KademliaNode* node = net.GetNode(1);
-  ASSERT_NE(node, nullptr);
-  node->frequencies.Record(2);
-  ASSERT_TRUE(net.SetAuxiliaries(1, {2}).ok());
-  ASSERT_TRUE(net.RemoveNode(1).ok());
-  ASSERT_TRUE(net.RejoinNode(1).ok());
-  node = net.GetNode(1);
-  EXPECT_TRUE(net.Auxiliaries(*node).empty()) << "auxiliaries are lost on crash";
-  EXPECT_EQ(node->frequencies.distinct(), 1u) << "frequency history survives";
-}
-
-TEST(KademliaNetwork, ForgetStateClearsEverything) {
-  KademliaNetwork net(SmallParams(8));
-  ASSERT_TRUE(net.AddNode(1).ok());
-  ASSERT_TRUE(net.AddNode(2).ok());
-  net.GetNode(1)->frequencies.Record(2);
-  ASSERT_TRUE(net.RemoveNode(1, /*forget_state=*/true).ok());
-  ASSERT_TRUE(net.RejoinNode(1).ok());
-  EXPECT_EQ(net.GetNode(1)->frequencies.distinct(), 0u);
-}
-
 TEST(KademliaNetwork, LookupFromDeadOriginFails) {
   KademliaNetwork net(SmallParams(8));
   ASSERT_TRUE(net.AddNode(1).ok());
@@ -322,64 +259,6 @@ TEST(KademliaNetwork, SingleNodeAnswersEverythingItself) {
     EXPECT_TRUE(route->success);
     EXPECT_EQ(route->destination, 7u);
     EXPECT_EQ(route->hops, 0);
-  }
-}
-
-TEST(KademliaNetwork, BucketCapacityCapsMaterializedEntries) {
-  Rng rng(0xca9);
-  const std::vector<uint64_t> ids = rng.SampleDistinct(uint64_t{1} << 10, 256);
-
-  KademliaParams unbounded = SmallParams();
-  KademliaNetwork full(unbounded);
-  ASSERT_TRUE(full.BulkAdd(ids).ok());
-  full.StabilizeAll();
-
-  KademliaParams capped_params = SmallParams();
-  capped_params.bucket_capacity = 12;
-  KademliaNetwork capped(capped_params);
-  ASSERT_TRUE(capped.BulkAdd(ids).ok());
-  capped.StabilizeAll();
-
-  for (uint64_t id : ids) {
-    const KademliaNode& fnode = *full.GetNode(id);
-    const KademliaNode& cnode = *capped.GetNode(id);
-    EXPECT_LE(capped.BucketEntries(cnode).size(), 12u);
-    // Every non-empty class survives (the exactness floor), and each kept
-    // class is a subset of the unbounded class: the budget drops entries,
-    // never whole distance classes and never entries it didn't have.
-    ASSERT_EQ(capped.BucketCount(cnode), full.BucketCount(fnode));
-    for (size_t i = 0; i < full.BucketCount(fnode); ++i) {
-      const auto fb = full.Bucket(fnode, i);
-      const auto cb = capped.Bucket(cnode, i);
-      if (!fb.empty()) {
-        EXPECT_FALSE(cb.empty());
-      }
-      for (uint64_t entry : cb) {
-        EXPECT_TRUE(std::find(fb.begin(), fb.end(), entry) != fb.end());
-      }
-    }
-  }
-  // The cap is the point: strictly fewer live routing-table bytes than the
-  // unbounded tables (arena chunks are allocated in fixed blocks, so the
-  // used-word count is the honest measure).
-  EXPECT_LT(capped.MemoryUsage().table_bytes, full.MemoryUsage().table_bytes);
-}
-
-TEST(KademliaNetwork, BucketCapacityKeepsStableRoutingExact) {
-  Rng rng(0xcab);
-  const std::vector<uint64_t> ids = rng.SampleDistinct(uint64_t{1} << 10, 300);
-  KademliaParams params = SmallParams();
-  params.bucket_capacity = 10;  // one entry per class at bits = 10
-  KademliaNetwork net(params);
-  ASSERT_TRUE(net.BulkAdd(ids).ok());
-  net.StabilizeAll();
-  for (int i = 0; i < 400; ++i) {
-    const uint64_t origin = ids[rng.UniformU64(ids.size())];
-    const uint64_t key = rng.UniformU64(uint64_t{1} << 10);
-    auto route = net.Lookup(origin, key);
-    ASSERT_TRUE(route.ok());
-    EXPECT_TRUE(route->success);
-    EXPECT_EQ(route->destination, XorClosest(ids, key));
   }
 }
 

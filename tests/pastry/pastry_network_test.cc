@@ -25,20 +25,6 @@ PastryNetwork MakeNetwork(int bits, const std::vector<uint64_t>& ids,
   return net;
 }
 
-TEST(PastryNetwork, AddRemoveRejoin) {
-  PastryParams params;
-  params.bits = 8;
-  PastryNetwork net(params, 1);
-  ASSERT_TRUE(net.AddNode(10).ok());
-  ASSERT_TRUE(net.AddNode(200).ok());
-  EXPECT_FALSE(net.AddNode(10).ok());
-  EXPECT_FALSE(net.AddNode(999).ok());
-  ASSERT_TRUE(net.RemoveNode(10).ok());
-  EXPECT_FALSE(net.IsAlive(10));
-  ASSERT_TRUE(net.RejoinNode(10).ok());
-  EXPECT_TRUE(net.IsAlive(10));
-}
-
 TEST(PastryNetwork, ResponsibleNodeIsNumericallyClosest) {
   PastryNetwork net = MakeNetwork(8, {10, 100, 200});
   EXPECT_EQ(net.ResponsibleNode(10).value(), 10u);
