@@ -41,8 +41,7 @@ namespace peercache::bench {
 ///   --fault-retries N  failed attempts tolerated per node visit
 ///   --no-fault-retries abort lookups on the first failed attempt
 ///
-/// Latency-model knobs (docs/OBSERVABILITY.md; all default off) — drivers
-/// apply them to each run config via `ApplyObservability`:
+/// Latency-model knobs (docs/OBSERVABILITY.md; all default off):
 ///
 ///   --latency-base MS    per-hop propagation floor (enables the model)
 ///   --latency-scale MS   ms per unit of synthetic-coordinate distance
@@ -54,6 +53,9 @@ namespace peercache::bench {
 ///   --trace-out FILE     write sampled route traces as JSONL
 ///   --trace-sample P     trace every P-th measured query per node
 ///                        (default 0 = off, or 100 with --trace-out)
+///
+/// Each harness applies the fault, latency and trace knobs to every run
+/// config via `ApplyObservability`.
 struct BenchArgs {
   bool quick = false;
   int seeds = 1;
@@ -149,10 +151,11 @@ struct BenchArgs {
     return args;
   }
 
-  /// Copies the observability knobs (latency model, ping matrix, trace
-  /// sampling) into one run's config. Figure drivers call this from their
+  /// Copies the observability knobs (fault plan, latency model, ping matrix,
+  /// trace sampling) into one run's config. Harnesses call this from their
   /// MakeConfig so every row honors the shared command line.
   void ApplyObservability(experiments::ExperimentConfig& cfg) const {
+    cfg.faults = faults;
     cfg.latency = latency;
     cfg.latency_matrix = latency_matrix;
     if (trace_sample > 0) cfg.trace_sample_period = trace_sample;
@@ -283,7 +286,7 @@ class TraceLog {
 
 /// Accumulates figure rows into a schema-versioned JSON document:
 ///
-///   {"schema_version": 1, "generator": ..., "kind": "figure",
+///   {"schema_version": 2, "generator": ..., "kind": "figure",
 ///    "system": ..., "seeds": N, "base_seed": S, "quick": bool,
 ///    "rows": [{"label": ..., "mode": ..., "config": {...},
 ///              averaged columns..., "detail": <comparison|null>}]}
@@ -340,7 +343,7 @@ class FigureJson {
     writer_.String(row.paper_reference);
     writer_.Key("detail");
     if (row.detail.has_value()) {
-      experiments::WriteComparisonJson(writer_, *row.detail);
+      experiments::WriteComparisonJson(writer_, *row.detail, config);
     } else {
       writer_.Null();
     }

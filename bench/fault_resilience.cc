@@ -49,7 +49,7 @@ ExperimentConfig MakeConfig(const BenchArgs& args, int n, double drop_prob,
   cfg.warmup_queries_per_node = args.quick ? 100 : 200;
   cfg.measure_queries_per_node = args.quick ? 100 : 200;
   cfg.threads = args.threads;
-  cfg.faults = args.faults;
+  args.ApplyObservability(cfg);
   cfg.faults.drop_prob = drop_prob;
   cfg.faults.retry = retry;
   return cfg;

@@ -363,7 +363,7 @@ int main(int argc, char** argv) {
               "measure %.3fs\n",
               cmp->optimal.warmup_seconds, cmp->optimal.selection_seconds,
               cmp->optimal.measure_seconds);
-  if (cmp->optimal.fault_injection) {
+  if (cfg.faults.enabled()) {
     const auto& r = cmp->optimal.resilience;
     std::printf(
         "resilience (optimal run): delivered %llu/%llu (%.2f%%), "
@@ -378,7 +378,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(r.budget_exhausted),
         static_cast<unsigned long long>(r.dead_entry_evictions));
   }
-  if (cmp->optimal.latency_enabled) {
+  if (cfg.latency.enabled()) {
     const LogHistogram& h = cmp->optimal.latency_histogram;
     std::printf(
         "latency (optimal run): p50 %.3fms p90 %.3fms p99 %.3fms "

@@ -6,9 +6,11 @@
 #   BUILD_DIR=/tmp/pc results/regenerate.sh
 #
 # Every document is a pure function of its flags apart from its wall-clock
-# fields (phase_seconds, timers_seconds, seconds, timing), so a rerun on an
-# unchanged tree changes nothing else; compare runs with those keys
-# stripped, as CI's threads-1-vs-4 diffs do.
+# fields (phase_seconds, seconds, timing), so a rerun on an unchanged tree
+# changes nothing else; compare runs with those keys stripped, as CI's
+# threads-1-vs-4 diffs do:
+#
+#   python3 results/compare_documents.py OLD.json results/NEW.json
 set -eu
 
 root=$(cd "$(dirname "$0")/.." && pwd)

@@ -48,11 +48,8 @@ void ChordNetwork::StepResponsible(ResponsibleCursor& cursor) const {
 }
 
 Status ChordNetwork::StabilizeNode(uint64_t id) {
-  ChordNode* node_ptr = store_.Get(id);
-  if (node_ptr == nullptr || !node_ptr->alive) {
-    return Status::NotFound("node not alive");
-  }
-  ChordNode& node = *node_ptr;
+  if (!store_.IsAlive(id)) return Status::NotFound("node not alive");
+  ChordNode& node = *store_.Get(id);
   overlay::FlatTableArena& tables = store_.tables();
 
   // Fingers (paper's variant): for each i, the numerically smallest live

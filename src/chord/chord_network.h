@@ -44,7 +44,6 @@ using RouteResult = overlay::RouteResult;
 /// Auxiliaries (or AuxiliarySpan by id).
 struct ChordNode {
   uint64_t id = 0;
-  bool alive = false;
   /// Core neighbors: the paper's Chord variant keeps, for each i, the
   /// numerically smallest live node in (id + 2^i, id + 2^{i+1}]; empty
   /// ranges contribute no finger.

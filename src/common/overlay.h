@@ -17,15 +17,15 @@
 namespace peercache::overlay {
 
 /// The node contract every overlay backend's per-node record satisfies:
-/// identity, liveness, and the observed frequency table that feeds
-/// auxiliary selection. Routing tables (fingers/successors for Chord,
-/// routing rows/leaf set for Pastry, buckets for Kademlia) and the
-/// auxiliary list are FlatList slices into the network's arena — the
-/// engine reaches them only through `CoreNeighborIds` / `AuxiliarySpan`.
+/// identity and the observed frequency table that feeds auxiliary
+/// selection. Liveness is the NodeStore's (`IsAlive`), not the record's.
+/// Routing tables (fingers/successors for Chord, routing rows/leaf set for
+/// Pastry, buckets for Kademlia) and the auxiliary list are FlatList slices
+/// into the network's arena — the engine reaches them only through
+/// `CoreNeighborIds` / `AuxiliarySpan`.
 template <typename N>
 concept OverlayNode = requires(N& node, const N& cnode, uint64_t peer) {
   { cnode.id } -> std::convertible_to<uint64_t>;
-  { cnode.alive } -> std::convertible_to<bool>;
   { node.frequencies.Record(peer) };
   { node.frequencies.Snapshot(peer) };
 };
@@ -152,13 +152,10 @@ class OverlayBase {
   /// its frequency history for a later rejoin unless `forget_state` is set,
   /// which clears the history and releases every table slice.
   Status RemoveNode(uint64_t id, bool forget_state = false) {
-    Node* node = store_.Get(id);
-    if (node == nullptr || !node->alive) {
-      return Status::NotFound("node not alive");
-    }
-    node->alive = false;
+    if (!store_.IsAlive(id)) return Status::NotFound("node not alive");
     store_.MarkDead(id);
     if (forget_state) {
+      Node* node = store_.Get(id);
       node->frequencies.Clear();
       FlatTableArena& tables = store_.tables();
       for (FlatList Node::*slice : Net::kCoreTables) {
@@ -174,8 +171,7 @@ class OverlayBase {
   Status RejoinNode(uint64_t id) {
     Node* node = store_.Get(id);
     if (node == nullptr) return Status::NotFound("unknown node");
-    if (node->alive) return Status::FailedPrecondition("already alive");
-    node->alive = true;
+    if (store_.IsAlive(id)) return Status::FailedPrecondition("already alive");
     // Auxiliaries are lost on crash; rebuilt at the next selection.
     store_.tables().Clear(node->auxiliaries);
     store_.MarkAlive(id);
@@ -214,11 +210,8 @@ class OverlayBase {
   /// dead ones are simply useless until pruned). Serial-only: writes the
   /// arena.
   Status SetAuxiliaries(uint64_t id, std::vector<uint64_t> auxiliaries) {
-    Node* node = store_.Get(id);
-    if (node == nullptr || !node->alive) {
-      return Status::NotFound("node not alive");
-    }
-    store_.tables().Assign(node->auxiliaries, auxiliaries);
+    if (!store_.IsAlive(id)) return Status::NotFound("node not alive");
+    store_.tables().Assign(store_.Get(id)->auxiliaries, auxiliaries);
     return Status::Ok();
   }
 
@@ -285,14 +278,13 @@ class OverlayBase {
     return Status::Ok();
   }
 
-  /// Emplaces `id` as a live record with cleared auxiliaries, not yet in
-  /// the live arrays.
+  /// Emplaces `id`'s record with cleared auxiliaries; the caller marks it
+  /// alive in the store.
   void EmplaceLive(uint64_t id) {
     auto [node, inserted] =
         store_.Emplace(id, params_.frequency_capacity, params_.freq_sketch);
     if (inserted) self().OnSlotCreated();
     node->id = id;
-    node->alive = true;
     store_.tables().Clear(node->auxiliaries);
   }
 };

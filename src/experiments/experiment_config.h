@@ -10,7 +10,6 @@
 #include "common/fault.h"
 #include "common/flat_table_arena.h"
 #include "common/latency.h"
-#include "common/metrics.h"
 #include "common/route_result.h"
 #include "common/stats.h"
 #include "common/trace.h"
@@ -54,21 +53,21 @@ struct ExperimentConfig {
   /// Bounded-memory sketch mode for every node's frequency table
   /// (auxsel::FreqSketchParams: space-saving top-k + count-min tail).
   /// Disabled by default; when enabled it takes precedence over
-  /// `frequency_capacity` and gates the telemetry document's "freq_sketch"
-  /// block. Selection stays bit-identical at any thread count because the
-  /// summary's tie-breaking is deterministic.
+  /// `frequency_capacity` and turns on the telemetry document's
+  /// "freq_sketch" block. Selection is the same at any thread count because
+  /// the summary's tie-breaking is deterministic.
   auxsel::FreqSketchParams freq_sketch;
   /// Popularity-drift model applied to the stable-mode warmup and
   /// measurement query streams (workload::DriftConfig; docs/ALGORITHMS.md).
-  /// Disabled by default, which keeps the stationary workload and its
-  /// telemetry byte-identical. The two phases share one monotone per-node
-  /// query index, so drift continues across the warmup/measure boundary.
+  /// Disabled by default: the workload is stationary. The two phases share
+  /// one monotone per-node query index, so drift continues across the
+  /// warmup/measure boundary.
   workload::DriftConfig drift;
   /// Heterogeneous auxiliary budgets (Sarshar & Roychowdhury,
   /// arXiv:cs/0210010): when > 0, the global budget n_nodes * k is
   /// redistributed across nodes proportionally to c_i^budget_gamma, where
   /// c_i is a seeded per-node Pareto capacity — instead of a fixed k per
-  /// node. 0 (default) keeps uniform budgets and byte-identical telemetry.
+  /// node. 0 (default) gives every node the uniform budget k.
   /// Stable runs only: under churn the optimal arm's incremental
   /// maintainers keep uniform k, so RunChurn rejects budget_gamma > 0
   /// rather than compare arms with unequal budgets.
@@ -97,12 +96,12 @@ struct ExperimentConfig {
   /// policy's churn maintainers; 0 = never audit.
   int maintenance_audit_period = 4;
   /// Fault-injection knobs (common/fault.h). All probabilities default to
-  /// zero, which disables injection entirely: the engine then routes over
-  /// the historical fault-free path and emits byte-identical telemetry.
+  /// zero, which disables injection: a null plan routes the fault-free path
+  /// and the run object has no "resilience" block.
   fault::FaultConfig faults;
   /// Link-latency model knobs (common/latency.h). All magnitudes default to
-  /// zero, which disables the model entirely: routing then takes the
-  /// historical untimed path and telemetry stays byte-identical.
+  /// zero, which disables the model: a null model routes untimed and the
+  /// run object has no "latency" block.
   latency::LatencyConfig latency;
   /// Optional measured RTT matrix overriding the synthetic coordinates for
   /// the node pairs it covers (loaded by the CLI via --latency-matrix).
@@ -114,8 +113,7 @@ struct ExperimentConfig {
   int qos_delay_bound = 0;
   /// Capture the overlay's end-of-run memory footprint (NodeStore +
   /// FlatTableArena accounting) into RunResult::memory and emit it as the
-  /// telemetry document's "memory" block. Off by default so existing
-  /// documents stay byte-identical.
+  /// telemetry document's "memory" block. Off by default.
   bool report_memory = false;
   /// Capture every node's end-of-run frequency snapshot and core neighbor
   /// set into RunResult::freq_snapshots (ascending node id). Bench-only
@@ -241,50 +239,25 @@ struct RunResult {
   /// Sampled per-hop route traces (config.trace_sample_period), merged in
   /// node order so output is identical at every thread count.
   std::vector<RouteTrace> traces;
-  /// Merged per-node metric shards from the measurement loop, plus the
-  /// phase timers above; serialized into every --json-out document.
-  MetricsShard metrics;
   /// One entry per churn recompute round on the incremental maintenance
-  /// path (empty for stable runs and non-optimal policies). Totals surface
-  /// as `maintain.*` counters in `metrics` and as the telemetry document's
-  /// "maintenance" block.
+  /// path (empty for stable runs and non-optimal policies); the telemetry
+  /// document's "maintenance" block.
   std::vector<MaintenanceRoundStats> maintenance_rounds;
-  /// True iff this run routed its measured lookups under an enabled
-  /// fault::FaultPlan. Gates `resilience` below, the `resilience.*` metric
-  /// counters, and the telemetry document's "resilience" block — with
-  /// injection off none of them exist, keeping fault-free output
-  /// byte-identical to the committed figures.
-  bool fault_injection = false;
+  /// Resilience accounting of the measured lookups; all zero unless
+  /// config.faults is enabled.
   ResilienceStats resilience;
-  /// True iff this run routed its measured lookups under an enabled
-  /// latency::LatencyModel. Gates `latency_histogram` below, the
-  /// `lookup.latency_ms` metric, and the telemetry document's "latency"
-  /// block — with the model off none of them exist, keeping untimed output
-  /// byte-identical to the committed figures.
-  bool latency_enabled = false;
   /// Log-bucketed end-to-end lookup latencies (milliseconds) over every
   /// measured lookup, merged in node/index order so percentiles are
-  /// thread-count invariant.
+  /// thread-count invariant; empty unless config.latency is enabled.
   LogHistogram latency_histogram;
-  /// True iff the run captured the overlay's memory footprint
-  /// (config.report_memory). Gates `memory` below and the telemetry
-  /// document's "memory" block; off keeps output byte-identical to the
-  /// committed figures. Arena mutations happen only on serial paths, so
-  /// the captured footprint is thread-count invariant.
-  bool memory_enabled = false;
+  /// The overlay's end-of-run footprint, captured only under
+  /// config.report_memory. Arena mutations happen only on serial paths, so
+  /// it is thread-count invariant.
   overlay::StoreMemoryStats memory;
-  /// True iff the run's frequency tables ran in sketch mode
-  /// (config.freq_sketch.enabled()). Gates the telemetry document's
-  /// "freq_sketch" block; off keeps output byte-identical to the committed
-  /// figures. The means below are ALWAYS computed (serially, over live
-  /// nodes in id order — cheap and thread-count invariant) so exact-mode
-  /// baselines can read their own footprint programmatically without
-  /// emitting it.
-  bool freq_sketch_enabled = false;
-  auxsel::FreqSketchParams freq_sketch_params;
   /// Mean modeled per-node frequency-summary footprint
   /// (FrequencyTable::SummaryMemoryBytes) and mean tracked-peer count at
-  /// the end of the run.
+  /// the end of the run, computed serially over live nodes in id order in
+  /// every frequency mode.
   double freq_summary_bytes_mean = 0.0;
   double freq_tracked_mean = 0.0;
   /// Per-node frequency captures (config.capture_freq_snapshots), ascending

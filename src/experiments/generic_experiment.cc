@@ -38,6 +38,31 @@ bool FrequencyAware(SelectorKind selector) {
   return selector == SelectorKind::kOptimal || selector == SelectorKind::kQos;
 }
 
+/// Fills the rest of a node's budget `k` with oblivious picks from the
+/// round's pool (minus the node itself), never repeating a core neighbor or
+/// a peer already in `chosen`. A frequency-aware selection that saw fewer
+/// usable peers than k (common early under churn, where few queries have
+/// been seen between recomputations) still installs k pointers, which is
+/// what the paper's comparison assumes. A failed draw leaves `chosen` as it
+/// is.
+template <typename Policy>
+void PadWithOblivious(const typename Policy::Network& net, uint64_t node_id,
+                      int k, const std::vector<auxsel::PeerFreq>& peer_pool,
+                      Rng& rng, std::vector<uint64_t>& chosen) {
+  if (static_cast<int>(chosen.size()) >= k) return;
+  SelectionInput pad;
+  pad.bits = net.params().bits;
+  pad.self_id = node_id;
+  pad.k = k - static_cast<int>(chosen.size());
+  pad.core_ids = net.CoreNeighborIds(node_id);
+  pad.core_ids.insert(pad.core_ids.end(), chosen.begin(), chosen.end());
+  pad.peers = PoolWithoutSelf(peer_pool, node_id);
+  Result<auxsel::Selection> extra = Policy::SelectOblivious(pad, rng);
+  if (extra.ok()) {
+    chosen.insert(chosen.end(), extra->chosen.begin(), extra->chosen.end());
+  }
+}
+
 /// Builds the SelectionInput for one node and computes the chosen
 /// auxiliaries into `chosen_out` (the caller installs them serially after
 /// the parallel round — SetAuxiliaries writes the shared table arena, which
@@ -118,24 +143,11 @@ Status InstallAuxiliaries(typename Policy::Network& net, uint64_t node_id,
     if (total_freq > 0.0) *predicted_hops = sel->cost / total_freq;
   }
 
-  // A node whose observed peer set is smaller than k (common early under
-  // churn, where few queries have been seen between recomputations) fills
-  // the remaining budget with oblivious picks: both policies then install
-  // exactly k pointers, which is what the paper's comparison assumes.
-  if (FrequencyAware(selector) &&
-      static_cast<int>(sel->chosen.size()) < input.k) {
-    SelectionInput pad = input;
-    pad.peers = PoolWithoutSelf(peer_pool, node_id);
-    pad.core_ids.insert(pad.core_ids.end(), sel->chosen.begin(),
-                        sel->chosen.end());
-    pad.k = input.k - static_cast<int>(sel->chosen.size());
-    auto extra = Policy::SelectOblivious(pad, selection_rng);
-    if (extra.ok()) {
-      sel->chosen.insert(sel->chosen.end(), extra->chosen.begin(),
-                         extra->chosen.end());
-    }
-  }
   chosen_out = std::move(sel->chosen);
+  if (FrequencyAware(selector)) {
+    PadWithOblivious<Policy>(net, node_id, k_budget, peer_pool, selection_rng,
+                             chosen_out);
+  }
   return Status::Ok();
 }
 
@@ -177,8 +189,8 @@ Status InstallRound(ThreadPool& pool, typename Policy::Network& net,
 
 /// Builds the run's latency model from the experiment config (synthetic
 /// coordinates, optionally overridden by a loaded ping matrix). Callers
-/// pass the model only when enabled so disabled configs take the historical
-/// untimed routing path bit-for-bit, mirroring the FaultPlan convention.
+/// pass the model on only when it is enabled, as with the FaultPlan: a
+/// null model routes untimed and gives kQos no delay bounds.
 latency::LatencyModel MakeLatencyModel(const ExperimentConfig& config) {
   if (!config.latency_matrix.empty()) {
     return latency::LatencyModel(config.latency, config.latency_matrix);
@@ -334,24 +346,9 @@ Status MaintainNode(typename Policy::Network& net,
     counts.audited = true;
   }
 
-  // 6. Pad to k with oblivious picks, exactly like the one-shot path: both
-  //    policies install k pointers, which the paper's comparison assumes.
+  // 6. Pad to k with oblivious picks, exactly like the one-shot path.
   chosen_out = sel->chosen;
-  if (static_cast<int>(chosen_out.size()) < k) {
-    SelectionInput pad;
-    pad.bits = net.params().bits;
-    pad.self_id = node_id;
-    pad.k = k - static_cast<int>(chosen_out.size());
-    pad.core_ids = net.CoreNeighborIds(node_id);
-    pad.core_ids.insert(pad.core_ids.end(), chosen_out.begin(),
-                        chosen_out.end());
-    pad.peers = PoolWithoutSelf(peer_pool, node_id);
-    auto extra = Policy::SelectOblivious(pad, rng);
-    if (extra.ok()) {
-      chosen_out.insert(chosen_out.end(), extra->chosen.begin(),
-                        extra->chosen.end());
-    }
-  }
+  PadWithOblivious<Policy>(net, node_id, k, peer_pool, rng, chosen_out);
   return Status::Ok();
 }
 
@@ -428,31 +425,6 @@ Status MaintainRound(ThreadPool& pool, typename Policy::Network& net,
   return Status::Ok();
 }
 
-/// Folds the per-round maintenance tallies into the run's metric
-/// namespace: `maintain.*` counters are deterministic; the wall clock
-/// lands under the timers section, which determinism comparisons exclude.
-void RecordMaintenanceMetrics(RunResult& result) {
-  if (result.maintenance_rounds.empty()) return;
-  MaintenanceRoundStats total;
-  for (const MaintenanceRoundStats& r : result.maintenance_rounds) {
-    total.bootstrapped += r.bootstrapped;
-    total.peer_joins += r.peer_joins;
-    total.peer_leaves += r.peer_leaves;
-    total.freq_deltas += r.freq_deltas;
-    total.core_deltas += r.core_deltas;
-    total.audited_nodes += r.audited_nodes;
-    total.seconds += r.seconds;
-  }
-  result.metrics.Count("maintain.rounds", result.maintenance_rounds.size());
-  result.metrics.Count("maintain.bootstrapped", total.bootstrapped);
-  result.metrics.Count("maintain.peer_joins", total.peer_joins);
-  result.metrics.Count("maintain.peer_leaves", total.peer_leaves);
-  result.metrics.Count("maintain.freq_deltas", total.freq_deltas);
-  result.metrics.Count("maintain.core_deltas", total.core_deltas);
-  result.metrics.Count("maintain.audited_nodes", total.audited_nodes);
-  result.metrics.AddTimerSeconds("maintain.seconds", total.seconds);
-}
-
 Comparison MakeComparison(RunResult none, RunResult oblivious,
                           RunResult optimal) {
   Comparison cmp;
@@ -486,9 +458,8 @@ Result<RunResult> RunStable(const ExperimentConfig& config,
   {
     ScopedProfile span("stable.build");
     // Bulk join, then one global stabilization: StabilizeAll rebuilds
-    // every table from final membership, so the finished state is
-    // identical to the historical AddNode-then-StabilizeAll loop without
-    // its per-join table builds.
+    // every table from final membership, so the finished state is an
+    // AddNode-then-StabilizeAll loop's without its per-join table builds.
     if (Status s = net.BulkAdd(node_ids); !s.ok()) return s;
     net.StabilizeAll();  // perfect routing state before the experiment
   }
@@ -538,8 +509,8 @@ Result<RunResult> RunStable(const ExperimentConfig& config,
   internal::CollectAuxiliaries(net, node_ids, result);
 
   // Measurement, optionally under fault injection (config.faults) and an
-  // enabled latency model. Both pointers are null when their feature is off
-  // so the historical fault-free untimed routing path runs unchanged.
+  // enabled latency model. Each pointer is null when its feature is off: a
+  // null plan routes the fault-free path, a null model routes untimed.
   const fault::FaultPlan plan(config.faults);
   PhaseTimer measure_timer;
   {
@@ -554,13 +525,8 @@ Result<RunResult> RunStable(const ExperimentConfig& config,
     }
   }
   result.measure_seconds = measure_timer.Seconds();
-  internal::RecordPhaseTimers(result);
-  internal::RecordResilienceMetrics(result);
   internal::RecordFrequencySummary(net, node_ids, config, result);
-  if (config.report_memory) {
-    result.memory = net.MemoryUsage();
-    result.memory_enabled = true;
-  }
+  if (config.report_memory) result.memory = net.MemoryUsage();
   return result;
 }
 
@@ -589,11 +555,10 @@ Result<RunResult> RunChurn(const ExperimentConfig& config,
 
   const double t_end = churn.warmup_s + churn.measure_s;
   RunResult result;
-  uint64_t successes = 0;
-  internal::ChurnObservability obs(config.trace_sample_period);
+  internal::ChurnWindow window(config.trace_sample_period);
 
   // Latency model shared by the QoS recompute rounds and the query loop;
-  // null when disabled so routing takes the historical untimed path.
+  // null when disabled, which routes untimed.
   const latency::LatencyModel lmodel = MakeLatencyModel(config);
   const latency::LatencyModel* latency =
       lmodel.enabled() ? &lmodel : nullptr;
@@ -668,7 +633,9 @@ Result<RunResult> RunChurn(const ExperimentConfig& config,
     }
     ++recompute_round;
     for (size_t i = 0; i < predicted.size(); ++i) {
-      if (std::isfinite(predicted[i])) obs.predicted[live[i]] = predicted[i];
+      if (std::isfinite(predicted[i])) {
+        window.predicted[live[i]] = predicted[i];
+      }
     }
     result.selection_seconds += selection_timer.Seconds();
     if (recompute_status.ok() &&
@@ -686,7 +653,6 @@ Result<RunResult> RunChurn(const ExperimentConfig& config,
   // the next stabilization).
   const fault::FaultPlan plan(config.faults);
   const fault::FaultPlan* faults = plan.enabled() ? &plan : nullptr;
-  if (faults != nullptr) obs.fault_injection = true;
   const bool learns_frequencies = FrequencyAware(selector);
   overlay::RouteResult route;
   std::function<void()> query_event = [&] {
@@ -696,12 +662,11 @@ Result<RunResult> RunChurn(const ExperimentConfig& config,
           live[static_cast<size_t>(origin_rng.UniformU64(live.size()))];
       const uint64_t key = workload.queries().SampleKey(origin, query_key_rng);
       const bool in_window = eq.now() >= churn.warmup_s;
-      const bool trace_this = in_window && obs.ShouldTraceNext();
+      const bool trace_this = in_window && window.ShouldTraceNext();
       RouteTrace trace;
-      Status s = net.LookupInto(
-          origin, key, route,
-          {trace_this ? &trace : nullptr, faults, latency});
-      if (s.ok()) {
+      const overlay::RouteOptions options{trace_this ? &trace : nullptr,
+                                          faults, latency};
+      if (net.LookupInto(origin, key, route, options).ok()) {
         // Dead entries discovered the hard way (stale-window forwards) are
         // evicted from the holder's auxiliary list right away — the
         // timeout is the liveness information. Core entries heal at the
@@ -710,28 +675,15 @@ Result<RunResult> RunChurn(const ExperimentConfig& config,
         for (const auto& [holder, entry] : route.dead_evictions) {
           net.EraseAuxiliary(holder, entry);
         }
-        if (in_window) {
-          ++result.queries;
-          obs.OnMeasuredQuery();
-          if (faults != nullptr) obs.OnFaultedLookup(route);
-          if (latency != nullptr) obs.OnTimedLookup(route);
-          if (trace_this) result.traces.push_back(std::move(trace));
-        }
-        if (route.success) {
-          if (in_window) {
-            ++successes;
-            result.hop_histogram.Add(route.hops);
-            obs.OnMeasuredSuccess(origin, route.hops, route.aux_hops);
-          }
-          // Every node that saw the query learns which peer answered it
-          // (paper Sec. III: "the set of nodes for which s has seen
-          // queries"). Under the paper's low global query rate this is what
-          // gives nodes usable frequency tables between recomputations.
-          if (learns_frequencies) {
-            for (uint64_t seen_by : route.path) {
-              if (auto* n = net.GetNode(seen_by); n != nullptr) {
-                n->frequencies.Record(route.destination);
-              }
+        if (in_window) window.Add(origin, route, options);
+        // Every node that saw the query learns which peer answered it
+        // (paper Sec. III: "the set of nodes for which s has seen
+        // queries"). Under the paper's low global query rate this is what
+        // gives nodes usable frequency tables between recomputations.
+        if (route.success && learns_frequencies) {
+          for (uint64_t seen_by : route.path) {
+            if (auto* n = net.GetNode(seen_by); n != nullptr) {
+              n->frequencies.Record(route.destination);
             }
           }
         }
@@ -749,19 +701,10 @@ Result<RunResult> RunChurn(const ExperimentConfig& config,
   }
   if (!recompute_status.ok()) return recompute_status;
 
-  result.success_rate = result.queries == 0
-                            ? 1.0
-                            : static_cast<double>(successes) /
-                                  static_cast<double>(result.queries);
-  result.avg_hops = result.hop_histogram.Mean();
+  window.Finalize(result);
   internal::CollectAuxiliaries(net, net.LiveNodeIds(), result);
-  obs.Finalize(result);
-  RecordMaintenanceMetrics(result);
   internal::RecordFrequencySummary(net, net.LiveNodeIds(), config, result);
-  if (config.report_memory) {
-    result.memory = net.MemoryUsage();
-    result.memory_enabled = true;
-  }
+  if (config.report_memory) result.memory = net.MemoryUsage();
   return result;
 }
 

@@ -86,8 +86,7 @@ void WriteConfigJson(JsonWriter& w, const ExperimentConfig& config) {
   w.Int(config.trace_sample_period);
   w.Key("maintenance_audit_period");
   w.Int(config.maintenance_audit_period);
-  // Fault-injection knobs appear only when injection is enabled: fault-free
-  // documents must stay byte-identical to the committed figures.
+  // Each feature's knobs appear if and only if the feature is on.
   if (config.faults.enabled()) {
     w.Key("fault_drop");
     w.Double(config.faults.drop_prob);
@@ -102,9 +101,6 @@ void WriteConfigJson(JsonWriter& w, const ExperimentConfig& config) {
     w.Key("fault_retry");
     w.Bool(config.faults.retry);
   }
-  // Sketch-mode knobs appear only when the bounded-memory frequency mode is
-  // on: exact-mode documents must stay byte-identical to the committed
-  // figures.
   if (config.freq_sketch.enabled()) {
     w.Key("freq_sketch_top_capacity");
     w.UInt(config.freq_sketch.top_capacity);
@@ -115,8 +111,6 @@ void WriteConfigJson(JsonWriter& w, const ExperimentConfig& config) {
     w.Key("freq_sketch_seed");
     w.UInt(config.freq_sketch.seed);
   }
-  // Popularity-drift knobs follow the same rule: absent for the stationary
-  // workload.
   if (config.drift.enabled()) {
     w.Key("drift_kind");
     w.String(workload::DriftKindName(config.drift.kind));
@@ -131,15 +125,12 @@ void WriteConfigJson(JsonWriter& w, const ExperimentConfig& config) {
     w.Key("drift_seed");
     w.UInt(config.drift.seed);
   }
-  // Heterogeneous-budget knobs: absent for uniform per-node budgets.
   if (config.budget_gamma > 0.0) {
     w.Key("budget_gamma");
     w.Double(config.budget_gamma);
     w.Key("budget_seed");
     w.UInt(config.budget_seed);
   }
-  // Latency-model knobs follow the same rule: absent unless the model is
-  // enabled, so latency-off documents keep their historical shape.
   if (config.latency.enabled()) {
     w.Key("latency_base_rtt_ms");
     w.Double(config.latency.base_rtt_ms);
@@ -211,7 +202,8 @@ void WriteResilienceJson(JsonWriter& w, const ResilienceStats& r) {
   w.EndObject();
 }
 
-void WriteRunResultJson(JsonWriter& w, const RunResult& result) {
+void WriteRunResultJson(JsonWriter& w, const RunResult& result,
+                        const ExperimentConfig& config) {
   w.BeginObject();
   w.Key("avg_hops");
   w.Double(result.avg_hops);
@@ -306,47 +298,38 @@ void WriteRunResultJson(JsonWriter& w, const RunResult& result) {
     w.EndArray();
     w.EndObject();
   }
-  // Resilience telemetry (docs/RESILIENCE.md), present only for runs that
-  // routed under an enabled fault plan — fault-free documents carry no
-  // "resilience" key and replay byte-identical to the committed figures.
-  if (result.fault_injection) {
+  // The optional blocks, by the emission rule (json_report.h).
+  if (config.faults.enabled()) {
     w.Key("resilience");
     WriteResilienceJson(w, result.resilience);
   }
-  // Latency percentiles appear only when the run routed under an enabled
-  // latency model, mirroring the resilience rule above.
-  if (result.latency_enabled) {
+  if (config.latency.enabled()) {
     w.Key("latency");
     WriteLatencyJson(w, result.latency_histogram);
   }
-  // Sketch-mode frequency summary footprint (docs/OBSERVABILITY.md),
-  // present only for runs whose frequency tables ran in sketch mode —
-  // exact-mode documents carry no "freq_sketch" key and replay
-  // byte-identical to the committed figures. All figures are modeled bytes
-  // accumulated serially in node-id order: thread-count and platform
-  // invariant.
-  if (result.freq_sketch_enabled) {
+  // Modeled bytes accumulated serially in node-id order: thread-count and
+  // platform invariant.
+  if (config.freq_sketch.enabled()) {
     w.Key("freq_sketch");
     w.BeginObject();
     w.Key("top_capacity");
-    w.UInt(result.freq_sketch_params.top_capacity);
+    w.UInt(config.freq_sketch.top_capacity);
     w.Key("cm_width");
-    w.UInt(result.freq_sketch_params.cm_width);
+    w.UInt(config.freq_sketch.cm_width);
     w.Key("cm_depth");
-    w.Int(result.freq_sketch_params.cm_depth);
+    w.Int(config.freq_sketch.cm_depth);
     w.Key("summary_bytes_per_node");
     w.Double(result.freq_summary_bytes_mean);
     w.Key("tracked_per_node");
     w.Double(result.freq_tracked_mean);
     w.EndObject();
   }
-  // Memory footprint (config.report_memory only — docs/OBSERVABILITY.md).
   // Arena mutations are serial, so these bytes are thread-count invariant.
   // bytes_per_node also counts node records and vector capacities, whose
   // sizes belong to the standard library: the committed scale-frontier
   // golden pins them for the toolchain that wrote it, and cross-toolchain
   // comparisons should prefer table_bytes/arena_bytes.
-  if (result.memory_enabled) {
+  if (config.report_memory) {
     w.Key("memory");
     w.BeginObject();
     w.Key("bytes_per_node");
@@ -357,21 +340,20 @@ void WriteRunResultJson(JsonWriter& w, const RunResult& result) {
     w.UInt(result.memory.arena_bytes);
     w.EndObject();
   }
-  w.Key("metrics");
-  result.metrics.WriteJson(w);
   w.EndObject();
 }
 
-void WriteComparisonJson(JsonWriter& w, const Comparison& cmp) {
+void WriteComparisonJson(JsonWriter& w, const Comparison& cmp,
+                         const ExperimentConfig& config) {
   w.BeginObject();
   w.Key("runs");
   w.BeginObject();
   w.Key("none");
-  WriteRunResultJson(w, cmp.none);
+  WriteRunResultJson(w, cmp.none, config);
   w.Key("oblivious");
-  WriteRunResultJson(w, cmp.oblivious);
+  WriteRunResultJson(w, cmp.oblivious, config);
   w.Key("optimal");
-  WriteRunResultJson(w, cmp.optimal);
+  WriteRunResultJson(w, cmp.optimal, config);
   w.EndObject();
   w.Key("improvement_pct");
   w.Double(cmp.improvement_pct);
@@ -400,7 +382,7 @@ std::string ComparisonDocument(const std::string& generator,
   w.Key("config");
   WriteConfigJson(w, config);
   w.Key("comparison");
-  WriteComparisonJson(w, cmp);
+  WriteComparisonJson(w, cmp, config);
   // Phase-profiler report, present only when profiling was switched on for
   // this process (--profile): default documents are unaffected.
   if (Profiler::Global().enabled()) {
@@ -429,8 +411,7 @@ std::string TraceJsonLine(const std::string& system, const char* policy,
   w.Bool(trace.success);
   w.Key("hops");
   w.Int(trace.hops);
-  // Modeled end-to-end latency, emitted only when a latency model ran —
-  // latency-off trace lines keep their historical shape exactly.
+  // Modeled end-to-end latency, emitted only when a latency model ran.
   if (trace.latency_ms > 0.0) {
     w.Key("latency_ms");
     w.Double(trace.latency_ms);
@@ -447,8 +428,7 @@ std::string TraceJsonLine(const std::string& system, const char* policy,
     w.String(HopEntryKindName(hop.kind));
     w.Key("remaining");
     w.UInt(hop.remaining);
-    // Fault tags are emitted only when set: fault-free trace lines keep
-    // their historical shape exactly.
+    // Fault tags are emitted only when set.
     if (hop.dropped) {
       w.Key("dropped");
       w.Bool(true);

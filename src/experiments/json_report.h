@@ -11,15 +11,29 @@
 namespace peercache::experiments {
 
 /// Version stamped into every machine-readable telemetry document
-/// (`schema_version`). Bump when a field is renamed or its meaning
-/// changes; adding fields is backward compatible and needs no bump.
-/// The schema itself is documented in docs/OBSERVABILITY.md.
-inline constexpr int kTelemetrySchemaVersion = 1;
+/// (`schema_version`). Bump when a field is renamed, removed or changes
+/// meaning; adding fields is backward compatible and needs no bump.
+/// The schema itself is documented in docs/OBSERVABILITY.md. Version 2
+/// removed the run object's `metrics` block, whose values each run object
+/// already carries under its typed keys.
+inline constexpr int kTelemetrySchemaVersion = 2;
+
+/// The emission rule: an optional block or key appears if and only if its
+/// feature is on in the run's ExperimentConfig. For a run object
+/// (WriteRunResultJson):
+///
+///   block         condition
+///   resilience    config.faults.enabled()
+///   latency       config.latency.enabled()
+///   freq_sketch   config.freq_sketch.enabled()
+///   memory        config.report_memory
+///
+/// The config block (WriteConfigJson) follows the same rule for its
+/// `fault_*`, `freq_sketch_*`, `drift_*`, `budget_*` and `latency_*` keys,
+/// and `qos_*` appears with the latency keys when a threshold is set.
 
 /// Emits the config block shared by every document: one key per
-/// ExperimentConfig field, in declaration order. Fault-injection keys
-/// (`fault_*`) appear only when injection is enabled, and latency-model
-/// keys (`latency_*`, `qos_*`) only when the latency model is enabled.
+/// ExperimentConfig field, in declaration order, under the emission rule.
 void WriteConfigJson(JsonWriter& w, const ExperimentConfig& config);
 
 /// Emits one run's aggregated resilience telemetry as a JSON object (the
@@ -34,16 +48,16 @@ void WriteLatencyJson(JsonWriter& w, const LogHistogram& h);
 
 /// Emits one run's telemetry object: headline numbers, per-phase wall
 /// clock, hop histogram with p50/p95/p99 and per-bucket counts, aux-hit
-/// rate, the Eq. 1 cost-audit residual distribution, and the merged
-/// metrics-registry snapshot. Runs routed under an enabled fault plan
-/// additionally carry a "resilience" block (docs/RESILIENCE.md); fault-free
-/// runs never do, so their documents stay byte-identical to the committed
-/// figures.
-void WriteRunResultJson(JsonWriter& w, const RunResult& result);
+/// rate and hop totals, the Eq. 1 cost-audit residual distribution, the
+/// maintenance rounds, and the optional blocks `config` turns on under the
+/// emission rule. `config` is the one the run was made with.
+void WriteRunResultJson(JsonWriter& w, const RunResult& result,
+                        const ExperimentConfig& config);
 
 /// Emits the three-policy comparison: `runs.{none,oblivious,optimal}`
-/// plus both improvement metrics.
-void WriteComparisonJson(JsonWriter& w, const Comparison& cmp);
+/// plus both improvement metrics. All three runs share `config`.
+void WriteComparisonJson(JsonWriter& w, const Comparison& cmp,
+                         const ExperimentConfig& config);
 
 /// Builds a complete schema-versioned comparison document.
 /// `generator` names the binary ("sim_cli", "fig5_chord_vary_n", ...);

@@ -14,10 +14,12 @@
 #include "common/fault.h"
 #include "common/latency.h"
 #include "common/random.h"
+#include "common/route_kernel.h"
 #include "common/route_result.h"
 #include "common/stats.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
+#include "common/trace.h"
 #include "experiments/experiment_config.h"
 #include "workload/drift.h"
 #include "workload/workload.h"
@@ -124,15 +126,14 @@ Result<std::vector<uint64_t>> ResolveItemOwners(
 /// (ResolveItemOwners). Each node then draws item indices from its own RNG
 /// stream — the draws SampleKey makes — and records owner[item] in query
 /// order. The answers are ResponsibleNode's and Record order is a
-/// query-at-a-time loop's, so frequency tables (and everything downstream:
-/// selections, telemetry, goldens) are byte-identical to that loop at any
-/// thread count. Empty `node_ids` or `queries_per_node <= 0` resolve
+/// query-at-a-time loop's, so the frequency tables equal that loop's at
+/// any thread count. Empty `node_ids` or `queries_per_node <= 0` resolve
 /// nothing and return Ok.
 ///
 /// When `drift` names an enabled popularity-drift model each item is drawn
 /// from it instead, indexed by the node's monotone query counter offset by
 /// `drift_query_base` (so warmup and measure share one drift timeline). A
-/// null `drift` reproduces the stationary path byte-for-byte.
+/// null `drift` draws from the stationary workload.
 template <typename Network>
 Status ParallelWarmup(ThreadPool& pool, Network& net,
                       const std::vector<uint64_t>& node_ids,
@@ -163,27 +164,86 @@ Status ParallelWarmup(ThreadPool& pool, Network& net,
   return Status::Ok();
 }
 
+/// The facts every measured lookup contributes, tallied the same way on
+/// the stable path (one tally per node, merged in node order) and in the
+/// churn event loop (one tally): the query and its success, hops and
+/// auxiliary hops, the hop histogram, resilience under a fault plan,
+/// latency under a latency model, and the sampled trace. Every field but
+/// the LogHistogram is an integer count, and per-node tallies merge into an
+/// empty tally in node order, so the result is the same at every thread
+/// count.
+struct LookupTally {
+  uint64_t queries = 0;
+  uint64_t successes = 0;
+  uint64_t route_hops = 0;  ///< Forwarding hops over successful lookups.
+  uint64_t aux_hops = 0;    ///< Those forwarded through an auxiliary entry.
+  Histogram hops{64};       ///< Per-lookup hops over successful lookups.
+  ResilienceStats resilience;
+  LogHistogram latency_ms;  ///< End-to-end latency of every lookup.
+  std::vector<RouteTrace> traces;
+
+  /// Counts one measured lookup routed with `options`: a fault plan adds
+  /// it to `resilience`, a latency model to `latency_ms`, and a trace is
+  /// moved into `traces`. Callers pass the plan and the model only when
+  /// they are enabled.
+  void Add(const overlay::RouteResult& route,
+           const overlay::RouteOptions& options) {
+    ++queries;
+    if (options.faults != nullptr) resilience.Accumulate(route);
+    if (options.latency != nullptr) latency_ms.Add(route.latency_ms);
+    if (route.success) {
+      ++successes;
+      route_hops += static_cast<uint64_t>(route.hops);
+      aux_hops += static_cast<uint64_t>(route.aux_hops);
+      hops.Add(route.hops);
+    }
+    if (options.trace != nullptr) traces.push_back(std::move(*options.trace));
+  }
+
+  void Merge(LookupTally&& other) {
+    queries += other.queries;
+    successes += other.successes;
+    route_hops += other.route_hops;
+    aux_hops += other.aux_hops;
+    hops.Merge(other.hops);
+    resilience.Merge(other.resilience);
+    latency_ms.Merge(other.latency_ms);
+    for (RouteTrace& t : other.traces) traces.push_back(std::move(t));
+  }
+
+  /// Moves the tally into the run's typed fields and derives its three
+  /// rates: success rate, mean hops and the auxiliary-hit rate.
+  void WriteTo(RunResult& result) && {
+    result.queries = queries;
+    result.total_route_hops = route_hops;
+    result.aux_route_hops = aux_hops;
+    result.hop_histogram = std::move(hops);
+    result.resilience = resilience;
+    result.latency_histogram = std::move(latency_ms);
+    result.traces = std::move(traces);
+    result.success_rate = queries == 0 ? 1.0
+                                       : static_cast<double>(successes) /
+                                             static_cast<double>(queries);
+    result.avg_hops = result.hop_histogram.Mean();
+    result.aux_hit_rate = route_hops == 0
+                              ? 0.0
+                              : static_cast<double>(aux_hops) /
+                                    static_cast<double>(route_hops);
+  }
+};
+
 /// Measurement: routes every node's queries over the finished overlay
-/// (Lookup is const) into index-addressed partials, then merges them in
-/// node order into `result`. Thread count cannot affect the totals.
+/// (Lookup is const) into one LookupTally per node, then merges them in
+/// node order into `result`. Thread count cannot affect the totals. Every
+/// `trace_sample_period`-th query per node is routed with a RouteTrace.
+/// `predicted_hops[i]` (may be empty, or NaN per slot = no prediction)
+/// pairs the selector's Eq. 1 prediction with node i's measured mean to
+/// form `result.cost_audit`.
 ///
-/// Observability side channels, all thread-count invariant:
-///  * one MetricsRegistry shard per node, merged in index order into
-///    `result.metrics`;
-///  * every `trace_sample_period`-th query per node is routed with a
-///    RouteTrace, collected per node and concatenated in node order;
-///  * `predicted_hops[i]` (may be empty, or NaN per slot = no prediction)
-///    pairs the selector's Eq. 1 prediction with this node's measured mean
-///    to form `result.cost_audit`.
-///
-/// When `faults` names an enabled plan every lookup is routed resiliently
-/// (stale-window faults cannot occur here — stable-mode overlays hold no
-/// dead entries) and per-node ResilienceStats partials merge in index order
-/// into `result.resilience`.
-///
-/// When `latency` names an enabled model every lookup's end-to-end latency
-/// lands in a per-node LogHistogram partial, merged in index order into
-/// `result.latency_histogram` and the `lookup.latency_ms` instrument.
+/// A non-null `faults` routes every lookup resiliently (stale-window faults
+/// cannot occur here: stable-mode overlays hold no dead entries), and a
+/// non-null `latency` times every lookup. Callers pass each only when it
+/// is enabled.
 template <typename Network>
 Status ParallelMeasure(ThreadPool& pool, const Network& net,
                        const std::vector<uint64_t>& node_ids,
@@ -195,26 +255,10 @@ Status ParallelMeasure(ThreadPool& pool, const Network& net,
                        const latency::LatencyModel* latency = nullptr,
                        const workload::DriftModel* drift = nullptr,
                        int64_t drift_query_base = 0) {
-  struct Partial {
-    Status status;
-    uint64_t queries = 0;
-    uint64_t successes = 0;
-    uint64_t sum_hops = 0;      // over successful lookups
-    uint64_t aux_hops = 0;      // auxiliary-entry hops over successful lookups
-    Histogram hops{64};
-    OnlineStats hop_stats;
-    std::vector<RouteTrace> traces;
-    ResilienceStats resilience;
-    LogHistogram latency_ms;    // over all measured lookups
-  };
-  const bool faulted = faults != nullptr && faults->enabled();
-  const bool timed = latency != nullptr && latency->enabled();
-  std::vector<Partial> partials(node_ids.size());
-  MetricsRegistry registry(node_ids.size());
+  std::vector<LookupTally> tallies(node_ids.size());
+  std::vector<Status> statuses(node_ids.size());
   pool.ParallelFor(0, node_ids.size(), 1, [&](size_t i) {
     const uint64_t origin = node_ids[i];
-    Partial& part = partials[i];
-    MetricsShard& shard = registry.shard(i);
     Rng rng(SplitSeed(measure_seed, origin));
     const int list = drift != nullptr ? queries.ListOf(origin) : 0;
     // One RouteResult per task, written into by every lookup: after the
@@ -229,167 +273,72 @@ Status ParallelMeasure(ThreadPool& pool, const Network& net,
       const bool trace_this =
           trace_sample_period > 0 && q % trace_sample_period == 0;
       RouteTrace trace;
-      Status s = net.LookupInto(
-          origin, key, route,
-          {trace_this ? &trace : nullptr, faults, latency});
-      if (!s.ok()) {
-        part.status = s;
+      const overlay::RouteOptions options{trace_this ? &trace : nullptr,
+                                          faults, latency};
+      if (Status s = net.LookupInto(origin, key, route, options); !s.ok()) {
+        statuses[i] = s;
         return;
       }
-      ++part.queries;
-      if (faulted) part.resilience.Accumulate(route);
-      if (timed) part.latency_ms.Add(route.latency_ms);
-      if (route.success) {
-        ++part.successes;
-        part.sum_hops += static_cast<uint64_t>(route.hops);
-        part.aux_hops += static_cast<uint64_t>(route.aux_hops);
-        part.hops.Add(route.hops);
-        part.hop_stats.Add(static_cast<double>(route.hops));
-      }
-      if (trace_this) part.traces.push_back(std::move(trace));
+      tallies[i].Add(route, options);
     }
-    // Flush the node's accumulators into its shard once, outside the query
-    // loop: a name lookup per sample is measurable at measurement-loop
-    // rates, and merging an OnlineStats built in query order is
-    // bit-identical to per-sample Observe calls.
-    shard.Count("lookup.queries", part.queries);
-    shard.Count("lookup.successes", part.successes);
-    shard.Count("lookup.route_hops", part.sum_hops);
-    shard.Count("lookup.aux_hops", part.aux_hops);
-    shard.MergeStats("lookup.hops", part.hop_stats);
-    if (timed) shard.MergeLatency("lookup.latency_ms", part.latency_ms);
   });
 
-  uint64_t successes = 0;
-  for (size_t i = 0; i < partials.size(); ++i) {
-    Partial& part = partials[i];
-    if (!part.status.ok()) return part.status;
-    result.queries += part.queries;
-    successes += part.successes;
-    if (faulted) result.resilience.Merge(part.resilience);
-    if (timed) result.latency_histogram.Merge(part.latency_ms);
-    result.hop_histogram.Merge(part.hops);
-    result.total_route_hops += part.sum_hops;
-    result.aux_route_hops += part.aux_hops;
-    for (RouteTrace& t : part.traces) result.traces.push_back(std::move(t));
+  LookupTally total;
+  for (size_t i = 0; i < tallies.size(); ++i) {
+    if (!statuses[i].ok()) return statuses[i];
+    const LookupTally& node = tallies[i];
     const double predicted = i < predicted_hops.size()
                                  ? predicted_hops[i]
                                  : std::numeric_limits<double>::quiet_NaN();
-    if (part.successes > 0 && predicted == predicted) {  // non-NaN
+    if (node.successes > 0 && predicted == predicted) {  // non-NaN
       CostAuditEntry entry;
       entry.node_id = node_ids[i];
       entry.predicted_hops = predicted;
-      entry.measured_hops = static_cast<double>(part.sum_hops) /
-                            static_cast<double>(part.successes);
-      entry.measured_queries = part.successes;
+      entry.measured_hops = static_cast<double>(node.route_hops) /
+                            static_cast<double>(node.successes);
+      entry.measured_queries = node.successes;
       result.cost_audit.push_back(entry);
     }
+    total.Merge(std::move(tallies[i]));
   }
   std::sort(result.cost_audit.begin(), result.cost_audit.end(),
             [](const CostAuditEntry& a, const CostAuditEntry& b) {
               return a.node_id < b.node_id;
             });
-  result.metrics = registry.Merged();
-  result.success_rate = result.queries == 0
-                            ? 1.0
-                            : static_cast<double>(successes) /
-                                  static_cast<double>(result.queries);
-  result.avg_hops = result.hop_histogram.Mean();
-  result.aux_hit_rate =
-      result.total_route_hops == 0
-          ? 0.0
-          : static_cast<double>(result.aux_route_hops) /
-                static_cast<double>(result.total_route_hops);
-  if (faulted) result.fault_injection = true;
-  if (timed) result.latency_enabled = true;
+  std::move(total).WriteTo(result);
   return Status::Ok();
 }
 
-/// Copies the run's aggregated ResilienceStats into its metrics snapshot as
-/// `resilience.*` counters. No-op with injection off, so fault-free metric
-/// dumps stay byte-identical to the committed figures.
-inline void RecordResilienceMetrics(RunResult& result) {
-  if (!result.fault_injection) return;
-  const ResilienceStats& r = result.resilience;
-  result.metrics.Count("resilience.lookups", r.lookups);
-  result.metrics.Count("resilience.delivered", r.delivered);
-  result.metrics.Count("resilience.retried_lookups", r.retried_lookups);
-  result.metrics.Count("resilience.retries", r.retries);
-  result.metrics.Count("resilience.dropped_forwards", r.dropped_forwards);
-  result.metrics.Count("resilience.failstop_skips", r.failstop_skips);
-  result.metrics.Count("resilience.stale_forwards", r.stale_forwards);
-  result.metrics.Count("resilience.budget_exhausted", r.budget_exhausted);
-  result.metrics.Count("resilience.dead_entry_evictions",
-                       r.dead_entry_evictions);
-}
-
-/// Copies the RunResult phase timings into its metrics snapshot so every
-/// --json-out document carries them under the registry's timer namespace.
-inline void RecordPhaseTimers(RunResult& result) {
-  result.metrics.AddTimerSeconds("phase.warmup_seconds",
-                                 result.warmup_seconds);
-  result.metrics.AddTimerSeconds("phase.selection_seconds",
-                                 result.selection_seconds);
-  result.metrics.AddTimerSeconds("phase.measure_seconds",
-                                 result.measure_seconds);
-}
-
-/// Serial observability accumulator for the churn drivers: the event loop
-/// routes queries one at a time, so a single metrics shard suffices. It
-/// collects the same instruments as ParallelMeasure, plus the per-node
-/// measured means the Eq. 1 audit pairs with the *latest* recompute
-/// round's predictions (under churn the selector re-predicts every round;
-/// auditing the final round against the whole window is the best available
-/// comparison and is reported as such in docs/OBSERVABILITY.md).
-struct ChurnObservability {
-  explicit ChurnObservability(int trace_sample_period)
+/// The churn event loop's measurement window: one LookupTally over the
+/// in-window lookups, which are routed one at a time, plus what only churn
+/// needs. Trace sampling counts in-window lookups, and per-origin hop sums
+/// feed the Eq. 1 audit against the *latest* recompute round's predictions
+/// (under churn the selector re-predicts every round; auditing the final
+/// round against the whole window is the best available comparison and is
+/// reported as such in docs/OBSERVABILITY.md).
+struct ChurnWindow {
+  explicit ChurnWindow(int trace_sample_period)
       : trace_period(trace_sample_period) {}
 
-  /// Whether the *next* in-window query should be routed with a trace.
+  /// Whether the *next* in-window lookup should be routed with a trace.
   bool ShouldTraceNext() const {
     return trace_period > 0 &&
-           measured_queries % static_cast<uint64_t>(trace_period) == 0;
+           tally.queries % static_cast<uint64_t>(trace_period) == 0;
   }
 
-  void OnMeasuredQuery() {
-    ++measured_queries;
-    shard.Count("lookup.queries");
-  }
-
-  /// Resilience tally for one in-window lookup routed under an enabled
-  /// fault plan (the churn event loop is serial, so plain accumulation is
-  /// already deterministic).
-  void OnFaultedLookup(const overlay::RouteResult& route) {
-    fault_injection = true;
-    resilience.Accumulate(route);
-  }
-
-  /// Latency tally for one in-window lookup routed under an enabled
-  /// latency model.
-  void OnTimedLookup(const overlay::RouteResult& route) {
-    latency_enabled = true;
-    latency_ms.Add(route.latency_ms);
-  }
-
-  void OnMeasuredSuccess(uint64_t origin, int hops, int aux_hops) {
-    shard.Count("lookup.successes");
-    shard.Count("lookup.route_hops", static_cast<uint64_t>(hops));
-    shard.Count("lookup.aux_hops", static_cast<uint64_t>(aux_hops));
-    shard.Observe("lookup.hops", static_cast<double>(hops));
-    total_route_hops += static_cast<uint64_t>(hops);
-    aux_route_hops += static_cast<uint64_t>(aux_hops);
-    auto& acc = measured[origin];
-    acc.first += static_cast<uint64_t>(hops);
-    acc.second += 1;
+  /// Counts one in-window lookup from `origin` routed with `options`.
+  void Add(uint64_t origin, const overlay::RouteResult& route,
+           const overlay::RouteOptions& options) {
+    tally.Add(route, options);
+    if (route.success) {
+      auto& acc = measured[origin];
+      acc.first += static_cast<uint64_t>(route.hops);
+      acc.second += 1;
+    }
   }
 
   void Finalize(RunResult& result) {
-    result.total_route_hops = total_route_hops;
-    result.aux_route_hops = aux_route_hops;
-    result.aux_hit_rate = total_route_hops == 0
-                              ? 0.0
-                              : static_cast<double>(aux_route_hops) /
-                                    static_cast<double>(total_route_hops);
+    std::move(tally).WriteTo(result);
     // `measured` is an ordered map: entries come out in ascending node id.
     for (const auto& [node_id, acc] : measured) {
       auto it = predicted.find(node_id);
@@ -402,33 +351,14 @@ struct ChurnObservability {
       entry.measured_queries = acc.second;
       result.cost_audit.push_back(entry);
     }
-    if (latency_enabled) shard.MergeLatency("lookup.latency_ms", latency_ms);
-    result.metrics.Merge(shard);
-    if (fault_injection) {
-      result.fault_injection = true;
-      result.resilience = resilience;
-    }
-    if (latency_enabled) {
-      result.latency_enabled = true;
-      result.latency_histogram.Merge(latency_ms);
-    }
-    RecordPhaseTimers(result);
-    RecordResilienceMetrics(result);
   }
 
   int trace_period;
-  uint64_t measured_queries = 0;
-  uint64_t total_route_hops = 0;
-  uint64_t aux_route_hops = 0;
-  MetricsShard shard;
+  LookupTally tally;
   /// node id -> (sum of measured hops, successful measured lookups).
   std::map<uint64_t, std::pair<uint64_t, uint64_t>> measured;
   /// node id -> latest Eq. 1 predicted mean hops (NaN entries skipped).
   std::map<uint64_t, double> predicted;
-  bool fault_injection = false;
-  ResilienceStats resilience;
-  bool latency_enabled = false;
-  LogHistogram latency_ms;
 };
 
 /// Snapshots every listed node's installed auxiliary set, sorted by id,
@@ -449,10 +379,9 @@ void CollectAuxiliaries(const Network& net, std::vector<uint64_t> ids,
 
 /// Records the run's frequency-summary footprint: mean modeled bytes and
 /// mean tracked peers per live node (ascending id — serial, so the figures
-/// are thread-count invariant). Always computed; the telemetry "freq_sketch"
-/// block only serializes when the run used sketch mode, so exact-mode
-/// documents stay byte-identical while baselines can still read their own
-/// footprint off the RunResult.
+/// are thread-count invariant). Computed in every mode, so exact-mode
+/// baselines can read their own footprint off the RunResult; the document
+/// carries it only in sketch mode (json_report.h).
 template <typename Network>
 void RecordFrequencySummary(const Network& net, std::vector<uint64_t> ids,
                             const ExperimentConfig& config, RunResult& result) {
@@ -478,8 +407,6 @@ void RecordFrequencySummary(const Network& net, std::vector<uint64_t> ids,
     bytes /= static_cast<double>(nodes);
     tracked /= static_cast<double>(nodes);
   }
-  result.freq_sketch_enabled = config.freq_sketch.enabled();
-  result.freq_sketch_params = config.freq_sketch;
   result.freq_summary_bytes_mean = bytes;
   result.freq_tracked_mean = tracked;
 }

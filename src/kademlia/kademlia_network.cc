@@ -118,11 +118,8 @@ void KademliaNetwork::StepResponsible(ResponsibleCursor& cursor) const {
 }
 
 Status KademliaNetwork::StabilizeNode(uint64_t id) {
-  KademliaNode* node_ptr = store_.Get(id);
-  if (node_ptr == nullptr || !node_ptr->alive) {
-    return Status::NotFound("node not alive");
-  }
-  KademliaNode& node = *node_ptr;
+  if (!store_.IsAlive(id)) return Status::NotFound("node not alive");
+  KademliaNode& node = *store_.Get(id);
   const std::vector<uint64_t>& live = store_.live_ids();
 
   // Buckets: class c's candidates are exactly the live ids sharing the

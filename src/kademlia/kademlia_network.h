@@ -51,7 +51,6 @@ using RouteResult = overlay::RouteResult;
 /// class), matching the historical vector-of-vectors shape.
 struct KademliaNode {
   uint64_t id = 0;
-  bool alive = false;
   /// Core neighbors: bucket i holds up to bucket_size live nodes w with
   /// lcp(id, w) == i (equivalently: the top set bit of id XOR w is bit
   /// bits-1-i), XOR-closest to `id` first retained, stored id-sorted.

@@ -196,7 +196,7 @@ void ActorHost<Net>::ContinueLookup(uint64_t at, LookupStep step,
       std::max({w.hops_taken, w.spent, w.attempt, r.aux_hops, r.retries,
                 r.dropped_forwards, r.failstop_skips, r.stale_forwards}) <=
       most_spent;
-  if (cursor.current != at || node == nullptr || !node->alive ||
+  if (cursor.current != at || !net_->IsAlive(at) ||
       step_resilient != resilient() || !counters_ok) {
     EmitError(step.lookup_id, step.client, step.origin, step.cursor.key,
               LookupWireStatus::kProtocolError, out);

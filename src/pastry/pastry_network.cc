@@ -22,11 +22,8 @@ double EuclideanDistance(const Coord& a, const Coord& b) {
 }  // namespace
 
 Status PastryNetwork::StabilizeNode(uint64_t id) {
+  if (!store_.IsAlive(id)) return Status::NotFound("node not alive");
   const uint32_t self_slot = store_.SlotOf(id);
-  if (self_slot == overlay::NodeStore<PastryNode>::kNoSlot ||
-      !store_.at_slot(self_slot).alive) {
-    return Status::NotFound("node not alive");
-  }
   PastryNode& node = store_.at_slot(self_slot);
   overlay::FlatTableArena& tables = store_.tables();
   const std::vector<uint64_t>& live = store_.live_ids();

@@ -57,7 +57,6 @@ struct Coord {
 /// gone — iterate the two sides in that order for the same scan.
 struct PastryNode {
   uint64_t id = 0;
-  bool alive = false;
   /// routing_rows[i]: a node sharing exactly the first i bits with `id`
   /// (and thus differing at bit i), or kNoEntry when row i is empty.
   /// Always exactly params().bits entries once stabilized.

@@ -5,7 +5,7 @@
 // field formats to the exact string stored in the golden file, at thread
 // counts 1 and 4.
 //
-// Wall-clock timings inside the documents (phase_seconds, timers) are the
+// Wall-clock timings inside the documents (phase_seconds, seconds) are the
 // only non-deterministic fields; the comparison therefore targets the
 // averaged figure columns, which the engine promises to reproduce from
 // (seed, config) alone.
@@ -248,6 +248,22 @@ TEST_P(GoldenFigures, KademliaVaryKK10Stable) {
       },
       "k=10", "");
   ExpectRowMatchesGolden(row, doc, "k=1logn=10  stable");
+}
+
+// The figure harnesses build every row's config through ApplyObservability,
+// so the shared fault flags reach the runs (and the documents' config and
+// resilience blocks) like the latency and trace flags do.
+TEST(BenchArgs, ApplyObservabilityCopiesTheFaultFlags) {
+  const char* argv[] = {"fig", "--fault-drop", "0.2", "--fault-seed", "7"};
+  const BenchArgs args =
+      BenchArgs::Parse(5, const_cast<char**>(argv));
+  ExperimentConfig cfg;
+  ASSERT_FALSE(cfg.faults.enabled());
+  args.ApplyObservability(cfg);
+  EXPECT_TRUE(cfg.faults.enabled());
+  EXPECT_EQ(cfg.faults.drop_prob, 0.2);
+  EXPECT_EQ(cfg.faults.seed, 7u);
+  EXPECT_FALSE(cfg.latency.enabled());
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, GoldenFigures, ::testing::Values(1, 4),

@@ -1,8 +1,9 @@
-// Observability layer guarantees: sampled route traces and the merged
-// metrics snapshot are part of the engine's determinism contract (threads=1
-// and threads=4 serialize byte-identically once wall-clock timers are
-// excluded), traces are internally consistent routes, and the Eq. 1 cost
-// audit lines up with the aggregate hop accounting.
+// Observability layer guarantees: sampled route traces and the run object
+// are part of the engine's determinism contract (threads=1 and threads=4
+// serialize byte-identically once wall-clock values are excluded), traces
+// are internally consistent routes, the Eq. 1 cost audit lines up with the
+// aggregate hop accounting, and each optional block of a run object follows
+// the emission rule of json_report.h.
 
 #include <gtest/gtest.h>
 
@@ -33,9 +34,17 @@ ExperimentConfig BaseConfig(uint64_t seed) {
   return cfg;
 }
 
-std::string SerializedMetricsNoTimers(const RunResult& result) {
+/// The run object as a document carries it, with its wall-clock values
+/// (phase_seconds and every maintenance `seconds`) zeroed: everything left
+/// must be the same at every thread count.
+std::string SerializedRunNoWallClock(RunResult result,
+                                     const ExperimentConfig& cfg) {
+  result.warmup_seconds = 0.0;
+  result.selection_seconds = 0.0;
+  result.measure_seconds = 0.0;
+  for (MaintenanceRoundStats& r : result.maintenance_rounds) r.seconds = 0.0;
   JsonWriter w;
-  result.metrics.WriteJson(w, /*include_timers=*/false);
+  WriteRunResultJson(w, result, cfg);
   return w.TakeString();
 }
 
@@ -77,8 +86,8 @@ TEST(Observability, ChordTelemetryIsThreadCountInvariant) {
   auto parallel = RunStable<ChordPolicy>(cfg, SelectorKind::kOptimal);
   ASSERT_TRUE(serial.ok() && parallel.ok());
 
-  EXPECT_EQ(SerializedMetricsNoTimers(*serial),
-            SerializedMetricsNoTimers(*parallel));
+  EXPECT_EQ(SerializedRunNoWallClock(*serial, cfg),
+            SerializedRunNoWallClock(*parallel, cfg));
   EXPECT_EQ(SerializedTraces("chord", *serial),
             SerializedTraces("chord", *parallel));
   EXPECT_EQ(SerializedAudit(*serial), SerializedAudit(*parallel));
@@ -96,8 +105,8 @@ TEST(Observability, PastryTelemetryIsThreadCountInvariant) {
   auto parallel = RunStable<PastryPolicy>(cfg, SelectorKind::kOptimal);
   ASSERT_TRUE(serial.ok() && parallel.ok());
 
-  EXPECT_EQ(SerializedMetricsNoTimers(*serial),
-            SerializedMetricsNoTimers(*parallel));
+  EXPECT_EQ(SerializedRunNoWallClock(*serial, cfg),
+            SerializedRunNoWallClock(*parallel, cfg));
   EXPECT_EQ(SerializedTraces("pastry", *serial),
             SerializedTraces("pastry", *parallel));
   EXPECT_EQ(SerializedAudit(*serial), SerializedAudit(*parallel));
@@ -154,18 +163,31 @@ TEST(Observability, TracingIsOffByDefault) {
   EXPECT_TRUE(result->traces.empty());
 }
 
-TEST(Observability, AuxAccountingMatchesMetricsCounters) {
+// Every measured lookup is counted once, and the hop totals, the hop
+// histogram, the success rate and the per-node audit means all describe
+// the same successful lookups.
+TEST(Observability, AuxAccountingMatchesHopTotals) {
   ExperimentConfig cfg = BaseConfig(0xff);
   cfg.n_popularity_lists = 5;
   auto result = RunStable<ChordPolicy>(cfg, SelectorKind::kOptimal);
   ASSERT_TRUE(result.ok());
 
-  EXPECT_EQ(result->metrics.counter("lookup.route_hops"),
-            result->total_route_hops);
-  EXPECT_EQ(result->metrics.counter("lookup.aux_hops"),
-            result->aux_route_hops);
-  EXPECT_EQ(result->metrics.counter("lookup.queries"), result->queries);
+  EXPECT_EQ(result->queries,
+            static_cast<uint64_t>(cfg.n_nodes) *
+                static_cast<uint64_t>(cfg.measure_queries_per_node));
+  EXPECT_DOUBLE_EQ(result->success_rate,
+                   static_cast<double>(result->hop_histogram.count()) /
+                       static_cast<double>(result->queries));
   ASSERT_GT(result->total_route_hops, 0u);
+  EXPECT_EQ(result->total_route_hops,
+            static_cast<uint64_t>(result->hop_histogram.sum()));
+  EXPECT_LE(result->aux_route_hops, result->total_route_hops);
+  double audited_hops = 0.0;
+  for (const CostAuditEntry& e : result->cost_audit) {
+    audited_hops += e.measured_hops * static_cast<double>(e.measured_queries);
+  }
+  EXPECT_NEAR(audited_hops, static_cast<double>(result->total_route_hops),
+              1e-6 * static_cast<double>(result->total_route_hops));
   EXPECT_DOUBLE_EQ(result->aux_hit_rate,
                    static_cast<double>(result->aux_route_hops) /
                        static_cast<double>(result->total_route_hops));
@@ -232,8 +254,19 @@ TEST(Observability, ChurnRunProducesTelemetry) {
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->traces.empty());
   EXPECT_GT(result->total_route_hops, 0u);
+  EXPECT_EQ(result->total_route_hops,
+            static_cast<uint64_t>(result->hop_histogram.sum()));
+  EXPECT_GT(result->queries, 0u);
+  EXPECT_LE(result->hop_histogram.count(), result->queries);
   EXPECT_FALSE(result->cost_audit.empty());
-  EXPECT_EQ(result->metrics.counter("lookup.queries"), result->queries);
+  // The audit pairs a subset of the window's origins with their measured
+  // means, so its hop mass cannot exceed the window's.
+  double audited_hops = 0.0;
+  for (const CostAuditEntry& e : result->cost_audit) {
+    audited_hops += e.measured_hops * static_cast<double>(e.measured_queries);
+  }
+  EXPECT_LE(audited_hops,
+            static_cast<double>(result->total_route_hops) + 1e-6);
 }
 
 ExperimentConfig LatencyConfigOn(uint64_t seed) {
@@ -256,8 +289,6 @@ TEST(Observability, LatencyModelDoesNotPerturbRouting) {
   auto timed = RunStable<ChordPolicy>(LatencyConfigOn(0xd0),
                                       SelectorKind::kOptimal);
   ASSERT_TRUE(plain.ok() && timed.ok());
-  EXPECT_FALSE(plain->latency_enabled);
-  EXPECT_TRUE(timed->latency_enabled);
   EXPECT_EQ(plain->avg_hops, timed->avg_hops);
   EXPECT_EQ(plain->total_route_hops, timed->total_route_hops);
   EXPECT_EQ(plain->aux_route_hops, timed->aux_route_hops);
@@ -303,8 +334,8 @@ TEST(Observability, LatencyTelemetryIsThreadCountInvariant) {
 }
 
 // The run-level latency block and the latency_* config keys are emitted
-// only for latency-enabled runs; a latency-off document keeps its
-// historical bytes (no new keys anywhere).
+// only for latency-enabled runs, and the percentiles appear once, in the
+// `latency` block.
 TEST(Observability, LatencyJsonIsConditional) {
   ExperimentConfig off = BaseConfig(0xd2);
   off.n_popularity_lists = 5;
@@ -325,7 +356,7 @@ TEST(Observability, LatencyJsonIsConditional) {
   EXPECT_NE(doc_on.find("\"latency_base_rtt_ms\":2"), std::string::npos);
   EXPECT_NE(doc_on.find("\"latency\":{\"count\":"), std::string::npos);
   EXPECT_NE(doc_on.find("\"p999_ms\""), std::string::npos);
-  EXPECT_NE(doc_on.find("\"latency_histograms\""), std::string::npos);
+  EXPECT_EQ(doc_on.find("latency_histograms"), std::string::npos);
 }
 
 // Churn runs accrue latency through the same per-hop path, including the
@@ -337,14 +368,14 @@ TEST(Observability, ChurnRunAccruesLatency) {
   churn.measure_s = 400;
   auto result = RunChurn<ChordPolicy>(cfg, churn, SelectorKind::kOptimal);
   ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->latency_enabled);
+  EXPECT_GT(result->queries, 0u);
   EXPECT_EQ(result->latency_histogram.count(), result->queries);
   EXPECT_GT(result->latency_histogram.max(), 0.0);
 }
 
 // Sketch-mode telemetry follows the latency rule: a sketch-off document
-// keeps its historical bytes (no freq_sketch / drift / budget keys
-// anywhere), a sketch-on document gains the conditional block.
+// has no freq_sketch / drift / budget keys anywhere, a sketch-on document
+// gains the conditional block.
 TEST(Observability, FreqSketchJsonIsConditional) {
   ExperimentConfig off = BaseConfig(0xd4);
   off.n_popularity_lists = 5;
@@ -370,12 +401,11 @@ TEST(Observability, FreqSketchJsonIsConditional) {
             std::string::npos);
   EXPECT_NE(doc_on.find("\"summary_bytes_per_node\""), std::string::npos);
   EXPECT_NE(doc_on.find("\"tracked_per_node\""), std::string::npos);
-  // Schema version is unchanged: the block is additive and conditional.
-  EXPECT_EQ(doc_on.find("{\"schema_version\":1,"), 0u);
+  EXPECT_EQ(doc_on.find("{\"schema_version\":2,"), 0u);
 }
 
 // A sketch-mode run joins the determinism contract: all telemetry except
-// wall-clock timers is byte-identical at threads 1 and 4.
+// wall-clock values is byte-identical at threads 1 and 4.
 TEST(Observability, FreqSketchTelemetryIsThreadCountInvariant) {
   ExperimentConfig cfg = BaseConfig(0xd5);
   cfg.n_popularity_lists = 5;
@@ -389,9 +419,8 @@ TEST(Observability, FreqSketchTelemetryIsThreadCountInvariant) {
   cfg.threads = 4;
   auto parallel = RunStable<ChordPolicy>(cfg, SelectorKind::kOptimal);
   ASSERT_TRUE(serial.ok() && parallel.ok());
-  EXPECT_TRUE(serial->freq_sketch_enabled);
-  EXPECT_EQ(SerializedMetricsNoTimers(*serial),
-            SerializedMetricsNoTimers(*parallel));
+  EXPECT_EQ(SerializedRunNoWallClock(*serial, cfg),
+            SerializedRunNoWallClock(*parallel, cfg));
   EXPECT_EQ(SerializedTraces("chord", *serial),
             SerializedTraces("chord", *parallel));
   EXPECT_EQ(SerializedAudit(*serial), SerializedAudit(*parallel));
@@ -410,7 +439,7 @@ TEST(Observability, ComparisonDocumentHasSchemaEnvelope) {
   ASSERT_TRUE(cmp.ok());
   const std::string doc =
       ComparisonDocument("observability_test", "chord", "stable", cfg, *cmp);
-  EXPECT_EQ(doc.find("{\"schema_version\":1,"), 0u);
+  EXPECT_EQ(doc.find("{\"schema_version\":2,"), 0u);
   EXPECT_NE(doc.find("\"generator\":\"observability_test\""),
             std::string::npos);
   EXPECT_NE(doc.find("\"runs\":{\"none\":"), std::string::npos);
@@ -418,6 +447,64 @@ TEST(Observability, ComparisonDocumentHasSchemaEnvelope) {
   EXPECT_NE(doc.find("\"cost_audit\""), std::string::npos);
   EXPECT_NE(doc.find("\"phase_seconds\""), std::string::npos);
   EXPECT_NE(doc.find("\"hop_histogram\""), std::string::npos);
+  EXPECT_EQ(doc.find("\"metrics\""), std::string::npos);
+}
+
+bool HasBlock(const std::string& run_object, const std::string& block) {
+  return run_object.find("\"" + block + "\":{") != std::string::npos;
+}
+
+// The emission rule (json_report.h): a run object carries each optional
+// block if and only if its feature is on in the run's config.
+TEST(Observability, EachOptionalBlockAppearsIffItsFeatureIsOn) {
+  using Enable = void (*)(ExperimentConfig&);
+  const std::pair<std::string, Enable> features[] = {
+      {"resilience",
+       [](ExperimentConfig& c) {
+         c.faults.drop_prob = 0.1;
+         c.faults.seed = 5;
+       }},
+      {"latency", [](ExperimentConfig& c) { c.latency.base_rtt_ms = 2.0; }},
+      {"freq_sketch",
+       [](ExperimentConfig& c) {
+         c.freq_sketch.top_capacity = 16;
+         c.freq_sketch.cm_width = 32;
+         c.freq_sketch.cm_depth = 2;
+       }},
+      {"memory", [](ExperimentConfig& c) { c.report_memory = true; }},
+  };
+  ExperimentConfig off = BaseConfig(0xe0);
+  off.n_nodes = 48;
+  off.trace_sample_period = 0;
+  auto plain = RunStable<ChordPolicy>(off, SelectorKind::kOptimal);
+  ASSERT_TRUE(plain.ok());
+  const std::string plain_object = SerializedRunNoWallClock(*plain, off);
+  for (const auto& [block, enable] : features) {
+    EXPECT_FALSE(HasBlock(plain_object, block)) << block;
+    ExperimentConfig on = off;
+    enable(on);
+    auto run = RunStable<ChordPolicy>(on, SelectorKind::kOptimal);
+    ASSERT_TRUE(run.ok()) << block;
+    const std::string object = SerializedRunNoWallClock(*run, on);
+    for (const auto& [other, unused] : features) {
+      EXPECT_EQ(HasBlock(object, other), other == block)
+          << other << " with only " << block << " on";
+    }
+  }
+
+  // A churn run whose measurement window holds no lookup still carries the
+  // block of an enabled feature, empty.
+  ExperimentConfig timed = off;
+  timed.latency.base_rtt_ms = 2.0;
+  ChurnConfig churn;
+  churn.warmup_s = 200;
+  churn.measure_s = 0;
+  auto idle = RunChurn<ChordPolicy>(timed, churn, SelectorKind::kOptimal);
+  ASSERT_TRUE(idle.ok());
+  EXPECT_EQ(idle->queries, 0u);
+  EXPECT_NE(SerializedRunNoWallClock(*idle, timed).find(
+                "\"latency\":{\"count\":0,"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -165,7 +165,7 @@ TEST(FaultEdgeCases, SingleNodeStableRunThroughEngine) {
   cfg.faults.seed = 21;
   auto chord = experiments::RunStable<ChordPolicy>(cfg, SelectorKind::kOptimal);
   ASSERT_TRUE(chord.ok()) << chord.status().ToString();
-  EXPECT_TRUE(chord->fault_injection);
+  EXPECT_EQ(chord->resilience.lookups, chord->queries);
   EXPECT_EQ(chord->resilience.delivered, chord->resilience.lookups);
   EXPECT_EQ(chord->resilience.retries, 0u);  // self-delivery never forwards
   auto pastry =
@@ -191,7 +191,7 @@ TEST(FaultEdgeCases, ZeroAuxiliaryBudgetThroughChurnPathUnderFaults) {
                          : experiments::RunChurn<PastryPolicy>(
                                cfg, churn, SelectorKind::kOptimal);
     ASSERT_TRUE(run.ok()) << run.status().ToString();
-    EXPECT_TRUE(run->fault_injection);
+    EXPECT_EQ(run->resilience.lookups, run->queries);
     EXPECT_GT(run->resilience.lookups, 0u);
     EXPECT_LE(run->resilience.delivered, run->resilience.lookups);
     EXPECT_EQ(run->aux_route_hops, 0u) << "k=0 must never route through aux";
