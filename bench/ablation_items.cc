@@ -28,6 +28,7 @@ ExperimentConfig MakeConfig(uint64_t seed, int n, int k, double ratio,
   cfg.warmup_queries_per_node = args.quick ? 100 : 300;
   cfg.measure_queries_per_node = args.quick ? 100 : 200;
   cfg.threads = args.threads;
+  args.ApplyObservability(cfg);
   return cfg;
 }
 

@@ -9,6 +9,36 @@ namespace peercache::chord {
 static_assert(overlay::Overlay<ChordNetwork>,
               "ChordNetwork must satisfy the Overlay concept");
 
+namespace {
+
+/// First q in [lo, hi] with pred(q), for a predicate monotone in q that
+/// holds at hi: probes lo, lo + 1, lo + 3, lo + 7, ... and then bisects the
+/// last gap, so an answer d positions past lo costs O(log d) probes.
+template <typename Pred>
+size_t GallopToFirst(size_t lo, size_t hi, const Pred& pred) {
+  if (pred(lo)) return lo;
+  size_t below = lo;  // pred(below) is false
+  for (size_t step = 1;; step *= 2) {
+    const size_t probe = std::min(below + step, hi);
+    if (pred(probe)) {
+      hi = probe;
+      break;
+    }
+    below = probe;
+  }
+  while (hi - below > 1) {
+    const size_t mid = below + (hi - below) / 2;
+    if (pred(mid)) {
+      hi = mid;
+    } else {
+      below = mid;
+    }
+  }
+  return hi;
+}
+
+}  // namespace
+
 Result<uint64_t> ChordNetwork::ResponsibleNode(uint64_t key) const {
   const std::vector<uint64_t>& live = store_.live_ids();
   if (live.empty()) return Status::FailedPrecondition("empty overlay");
@@ -47,45 +77,41 @@ void ChordNetwork::StepResponsible(ResponsibleCursor& cursor) const {
   cursor.done = true;
 }
 
-Status ChordNetwork::StabilizeNode(uint64_t id) {
-  if (!store_.IsAlive(id)) return Status::NotFound("node not alive");
-  ChordNode& node = *store_.Get(id);
+void ChordNetwork::BuildCoreTables(size_t pos, ChordNode& node,
+                                   Sweep& sweep) {
+  const std::vector<uint64_t>& live = store_.live_ids();
+  const size_t n = live.size();
+  const uint64_t after = space_.Add(live[pos], 1);
   overlay::FlatTableArena& tables = store_.tables();
+  auto at = [&](size_t q) { return live[q < n ? q : q - n]; };
+  // Clockwise distance from id + 1: strictly increasing over
+  // q = pos + 1 .. pos + n, and the whole mask at q = pos + n (the node).
+  auto gap = [&](size_t q) { return space_.ClockwiseDistance(after, at(q)); };
 
-  // Fingers (paper's variant): for each i, the numerically smallest live
-  // node in (id + 2^i, id + 2^{i+1}].
+  // Fingers (paper's variant): for each i, the first live node clockwise in
+  // (id + 2^i, id + 2^{i+1}], i.e. the first position whose gap reaches
+  // 2^i, kept when its gap stays below 2^{i+1}. Reaching the node itself
+  // means the interval and every later one are empty.
   scratch_.clear();
+  size_t q = pos + 1;
   for (int i = 0; i < params_.bits; ++i) {
-    // (id + 2^i, id + 2^{i+1}]: first live node clockwise from id + 2^i + 1.
-    const uint64_t start = space_.Add(id, (uint64_t{1} << i) + 1);
-    const uint64_t end = space_.Add(id, LowBitMask(i + 1) + 1);  // + 2^{i+1}
-    uint64_t candidate = store_.FirstLiveAtOrAfter(start);
-    if (candidate == id) continue;  // wrapped all the way around
-    // Membership check: candidate within (id + 2^i, id + 2^{i+1}]?
-    if (space_.InClockwiseRangeExclIncl(space_.Add(id, uint64_t{1} << i),
-                                        candidate, end)) {
-      scratch_.push_back(candidate);
-    }
+    const size_t i_pos = static_cast<size_t>(i);
+    q = std::max(q, sweep[i_pos]);
+    const uint64_t target = uint64_t{1} << i;
+    q = GallopToFirst(q, pos + n, [&](size_t p) { return gap(p) >= target; });
+    sweep[i_pos] = q;
+    if (q < pos + n && gap(q) <= LowBitMask(i + 1)) scratch_.push_back(at(q));
   }
   tables.Assign(node.fingers, scratch_);
 
-  // Successor list: the next successor_list_size live nodes clockwise.
+  // Successor list: the next successor_list_size live nodes clockwise,
+  // short of the node itself.
   scratch_.clear();
-  if (store_.live_count() > 1) {
-    uint64_t cursor = store_.FirstLiveAtOrAfter(space_.Add(id, 1));
-    for (int i = 0;
-         i < params_.successor_list_size && cursor != id;
-         ++i) {
-      scratch_.push_back(cursor);
-      cursor = store_.FirstLiveAtOrAfter(space_.Add(cursor, 1));
-    }
+  for (int j = 1;
+       j <= params_.successor_list_size && static_cast<size_t>(j) < n; ++j) {
+    scratch_.push_back(at(pos + static_cast<size_t>(j)));
   }
   tables.Assign(node.successors, scratch_);
-
-  // Prune dead auxiliaries (stale-entry removal).
-  tables.EraseIf(node.auxiliaries,
-                 [this](uint64_t a) { return !IsAlive(a); });
-  return Status::Ok();
 }
 
 std::vector<uint64_t> ChordNetwork::CoreNeighborIds(uint64_t id) const {

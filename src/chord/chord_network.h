@@ -1,6 +1,8 @@
 #ifndef PEERCACHE_CHORD_CHORD_NETWORK_H_
 #define PEERCACHE_CHORD_CHORD_NETWORK_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -146,17 +148,26 @@ class ChordNetwork
     }
   }
 
-  /// Rebuilds `id`'s fingers and successor list from live membership
-  /// (periodic stabilization). Dead auxiliaries are pruned (the paper's
-  /// "stale auxiliary entries are marked/removed; fixed at the next
-  /// selection").
-  Status StabilizeNode(uint64_t id);
-
   /// Builds the core-neighbor list (fingers + successors, deduplicated)
   /// used as N_s for auxiliary selection at this node.
   std::vector<uint64_t> CoreNeighborIds(uint64_t id) const;
 
  private:
+  friend OverlayBase;
+
+  /// Stabilization sweep state: where each finger search of the previous
+  /// position ended, as unrolled positions (below); all 0, a bound that
+  /// never binds, before the first.
+  using Sweep = std::array<size_t, 64>;
+
+  /// Rebuilds the fingers and successor list of the live node at `pos`
+  /// (OverlayBase's stabilization step). Positions are unrolled past the
+  /// end of the live array, so pos + 1 .. pos + n run clockwise from the
+  /// node's successor back to the node itself; finger i is searched
+  /// forward from the larger of finger i - 1's position and the previous
+  /// position's finger i, because targets grow with i and with the id.
+  void BuildCoreTables(size_t pos, ChordNode& node, Sweep& sweep);
+
   std::vector<uint64_t> scratch_;  // stabilize build buffer (serial)
 };
 

@@ -266,15 +266,6 @@ class NodeStore {
         live_ids_.begin());
   }
 
-  /// First live id clockwise from `from` (inclusive), wrapping at the top
-  /// of the id space. Requires at least one live node.
-  uint64_t FirstLiveAtOrAfter(uint64_t from) const {
-    assert(!live_ids_.empty());
-    size_t pos = LowerBoundLive(from);
-    if (pos == live_ids_.size()) pos = 0;  // wrap
-    return live_ids_[pos];
-  }
-
   /// Deterministic footprint accounting for the scale-frontier telemetry.
   /// Every field is exact: `index_bytes` is the allocated bytes of the
   /// liveness flags, the live arrays, the slot ids and the id→slot index.

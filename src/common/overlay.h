@@ -2,11 +2,14 @@
 #define PEERCACHE_COMMON_OVERLAY_H_
 
 #include <algorithm>
+#include <array>
+#include <cassert>
 #include <concepts>
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "common/bits.h"
 #include "common/flat_table_arena.h"
 #include "common/node_store.h"
 #include "common/ring_id.h"
@@ -48,8 +51,8 @@ concept OverlayNode = requires(N& node, const N& cnode, uint64_t peer) {
 ///   * scale plumbing — BulkAdd joins many nodes without intermediate
 ///     stabilization and MemoryUsage reports the per-node footprint.
 ///
-/// OverlayBase (below) writes everything here except StabilizeNode,
-/// ResponsibleNode and CoreNeighborIds once for every backend.
+/// OverlayBase (below) writes everything here except ResponsibleNode and
+/// CoreNeighborIds once for every backend.
 /// ChordNetwork, PastryNetwork, and KademliaNetwork are statically checked
 /// against this concept; a new DHT backend plugs into the whole
 /// experiment/bench/telemetry stack by satisfying it plus a small policy
@@ -88,23 +91,95 @@ concept Overlay = OverlayNode<typename N::NodeType> &&
   { cnet.MemoryUsage() } -> std::same_as<StoreMemoryStats>;
 };
 
+/// Sweep state of the geometries whose core tables are prefix classes
+/// (Pastry's routing rows, Kademlia's buckets). Class r of node x is the
+/// set of live ids sharing exactly the first r bits with x. The live ids
+/// sharing at least r bits with x form a contiguous range R_r of the sorted
+/// live array, nested R_0 ⊇ R_1 ⊇ ..., and class r is R_r minus R_{r+1}:
+/// the part of R_r on the other side of bit r from x. One lower_bound
+/// inside R_r splits it, so a walk from R_0 (the whole array) costs one
+/// search in a range that halves per level. It stops once R_{r+1} holds x
+/// alone, because every deeper class is then empty.
+///
+/// Two nodes x' and x share R_0 .. R_L with L = CommonPrefixLength(x', x),
+/// so a walk resumes each node at level L from the previous node's ranges;
+/// over the array in id order, consecutive nodes share most levels. A
+/// default-constructed walk has no previous node and starts at R_0.
+class PrefixClassWalk {
+ public:
+  /// Calls `visit(r, lo, hi)` for r = 0, 1, ... with class r of the node at
+  /// `pos` as the index range [lo, hi) of `live` (empty when no live id
+  /// falls in the class), through the last non-empty class; nothing for a
+  /// lone node. Successive calls on one walk must pass the same `live` and
+  /// `bits`; any two ids share the ranges above their common prefix, so
+  /// the positions may come in any order.
+  template <typename Visit>
+  void Walk(const std::vector<uint64_t>& live, size_t pos, int bits,
+            const Visit& visit) {
+    const uint64_t id = live[pos];
+    int r = 0;
+    if (depth_ < 0) {
+      lo_[0] = 0;
+      hi_[0] = live.size();
+    } else {
+      r = CommonPrefixLength(id_, id, bits);
+      assert(r < depth_);  // R_r holds both ids, so the last walk split it
+    }
+    id_ = id;
+    for (; hi_[r] - lo_[r] > 1; ++r) {
+      const int bit = bits - 1 - r;
+      assert(bit >= 0);  // R_bits holds `id` alone
+      const uint64_t boundary = (id | (uint64_t{1} << bit)) & ~LowBitMask(bit);
+      const size_t mid = static_cast<size_t>(
+          std::lower_bound(live.begin() + static_cast<std::ptrdiff_t>(lo_[r]),
+                           live.begin() + static_cast<std::ptrdiff_t>(hi_[r]),
+                           boundary) -
+          live.begin());
+      const bool upper = ((id >> bit) & 1) != 0;
+      lo_[r + 1] = upper ? mid : lo_[r];
+      hi_[r + 1] = upper ? hi_[r] : mid;
+    }
+    depth_ = r;
+    for (int c = 0; c < depth_; ++c) {
+      // Class c is the part of R_c that R_{c+1} leaves on one side.
+      if (lo_[c + 1] != lo_[c]) {
+        visit(c, lo_[c], lo_[c + 1]);
+      } else {
+        visit(c, hi_[c + 1], hi_[c]);
+      }
+    }
+  }
+
+ private:
+  uint64_t id_ = 0;  // the node the ranges below describe
+  int depth_ = -1;   // R_0 .. R_depth_ are valid; -1 = no node walked yet
+  std::array<size_t, 65> lo_{};  // R_r = [lo_[r], hi_[r])
+  std::array<size_t, 65> hi_{};
+};
+
 /// The membership layer, written once for every geometry (CRTP). It owns
 /// the parameters, the id space and the NodeStore (records, liveness, the
 /// routing arena), and defines every operation that reads no geometry:
-/// joins one at a time or in a batch, leaves and rejoins, stabilizing every
-/// live node, the auxiliary list, the read-only accessors, the footprint
-/// and the two routing entries into RouteKernel<Net>.
+/// joins one at a time or in a batch, leaves and rejoins, stabilization of
+/// one node or of every live node, the auxiliary list, the read-only
+/// accessors, the footprint and the two routing entries into
+/// RouteKernel<Net>.
 ///
 /// A backend `Net` derives from `OverlayBase<Net, Node, Params>` and writes
-/// only its geometry: its node record, `StabilizeNode` (rebuild one live
-/// node's core tables and prune its dead auxiliaries), `CoreNeighborIds`,
-/// `ResponsibleNode`, `Rank`, `PrefetchTables`, and `kCoreTables`, the
-/// record's core table slices that a forgetting RemoveNode releases along
-/// with the auxiliaries. `Params` carries `bits`, `frequency_capacity` and
-/// `freq_sketch`.
+/// only its geometry: its node record, `CoreNeighborIds`,
+/// `ResponsibleNode`, `Rank`, `PrefetchTables`, `kCoreTables` (the record's
+/// core table slices that a forgetting RemoveNode releases along with the
+/// auxiliaries), and the per-position stabilization step:
+/// `BuildCoreTables(pos, node, sweep)` rebuilds the core tables of the live
+/// node at position `pos` of the sorted live array, whose record is `node`,
+/// and `Sweep` is the state it carries from one position to the next. A
+/// value-initialized `Sweep` is the state of a single-node stabilization;
+/// in a sweep, each call sees the state the previous position left. Both
+/// are private to the backend, which befriends this class. `Params`
+/// carries `bits`, `frequency_capacity` and `freq_sketch`.
 ///
 /// A backend that keeps slot-indexed data beside the store (Pastry's
-/// underlay coordinates) shadows three hooks and befriends this class:
+/// underlay coordinates) also shadows three hooks:
 /// `OnSlotCreated()` runs once for each new store slot, in slot order;
 /// `ReserveSlots(n)` runs before a batch grows the store to at most n
 /// slots; and `SideBytes()` is counted as node bytes by MemoryUsage.
@@ -123,7 +198,7 @@ class OverlayBase {
     if (Status s = CheckJoinable(id); !s.ok()) return s;
     EmplaceLive(id);
     store_.MarkAlive(id);
-    return self().StabilizeNode(id);
+    return StabilizeNode(id);
   }
 
   /// Bulk join for large builds: inserts every id as a live node WITHOUT
@@ -175,7 +250,7 @@ class OverlayBase {
     // Auxiliaries are lost on crash; rebuilt at the next selection.
     store_.tables().Clear(node->auxiliaries);
     store_.MarkAlive(id);
-    return self().StabilizeNode(id);
+    return StabilizeNode(id);
   }
 
   bool IsAlive(uint64_t id) const { return store_.IsAlive(id); }
@@ -215,10 +290,24 @@ class OverlayBase {
     return Status::Ok();
   }
 
-  /// Stabilizes every live node, in id order.
+  /// Rebuilds a live node's core tables from the live membership and
+  /// prunes its dead auxiliaries (the paper's "stale auxiliary entries are
+  /// marked/removed; fixed at the next selection"). Fails on a node that is
+  /// not live.
+  Status StabilizeNode(uint64_t id) {
+    if (!store_.IsAlive(id)) return Status::NotFound("node not alive");
+    typename Net::Sweep sweep{};
+    StabilizeAt(store_.LowerBoundLive(id), sweep);
+    return Status::Ok();
+  }
+
+  /// Stabilizes every live node in one sweep over the sorted live array:
+  /// each node's table searches start where the previous node's ended, and
+  /// the tables equal StabilizeNode's node for node.
   void StabilizeAll() {
-    for (uint64_t id : LiveNodeIds()) {
-      (void)self().StabilizeNode(id);
+    typename Net::Sweep sweep{};
+    for (size_t pos = 0; pos < store_.live_count(); ++pos) {
+      StabilizeAt(pos, sweep);
     }
   }
 
@@ -269,6 +358,16 @@ class OverlayBase {
  private:
   Net& self() { return static_cast<Net&>(*this); }
   const Net& self() const { return static_cast<const Net&>(*this); }
+
+  // A template so the signature does not name Net's members before Net is
+  // complete.
+  template <typename Sweep>
+  void StabilizeAt(size_t pos, Sweep& sweep) {
+    Node& node = store_.at_slot(store_.live_slot(pos));
+    self().BuildCoreTables(pos, node, sweep);
+    store_.tables().EraseIf(node.auxiliaries,
+                            [this](uint64_t a) { return !IsAlive(a); });
+  }
 
   Status CheckJoinable(uint64_t id) const {
     if (!space_.Contains(id)) return Status::InvalidArgument("id out of range");

@@ -12,38 +12,46 @@ static_assert(overlay::Overlay<KademliaNetwork>,
 
 namespace {
 
-/// Appends the `k - out.size()` ids of live[lo, hi) XOR-closest to `self`
-/// to `out`, in XOR-ascending order, by descending the implicit binary trie
-/// of the sorted range. Precondition: every id in [lo, hi) agrees with
-/// every other above `bit`. At a split, the half agreeing with `self` at
-/// `bit` is uniformly XOR-closer than the other half, so visiting it first
-/// and stopping once `k` ids are collected yields exactly the XOR-closest
-/// set — the same set the historical sort-by-XOR-then-truncate produced,
-/// in O(k + log^2 range) instead of O(range log range).
-void CollectXorClosest(const std::vector<uint64_t>& live, size_t lo,
-                       size_t hi, int bit, uint64_t self, size_t k,
-                       std::vector<uint64_t>& out) {
-  if (lo >= hi || out.size() >= k) return;
-  if (hi - lo <= k - out.size()) {
-    out.insert(out.end(),
-               live.begin() + static_cast<std::ptrdiff_t>(lo),
-               live.begin() + static_cast<std::ptrdiff_t>(hi));
+/// Emits the `k` ids of live[lo, hi) XOR-closest to `self` as index ranges
+/// of `live`, in index order, by descending the implicit binary trie of the
+/// sorted range. Precondition: every id in [lo, hi) agrees with every other
+/// above `bit`. At a split, the half agreeing with `self` at `bit` is
+/// uniformly XOR-closer than the other half: when it holds at least `k`
+/// ids the answer lies inside it, and otherwise it is kept whole and the
+/// other half supplies the rest. So the emitted ids are exactly the `k`
+/// XOR-closest, the set the naive model of
+/// FlatTables.KademliaFlatBucketsMatchNaiveModel keeps, found in
+/// O(k + log^2 range) without sorting.
+template <typename Emit>
+void EmitXorClosest(const std::vector<uint64_t>& live, size_t lo, size_t hi,
+                    int bit, uint64_t self, size_t k, const Emit& emit) {
+  if (k == 0) return;
+  if (hi - lo <= k) {
+    emit(lo, hi);
     return;
   }
   assert(bit >= 0);  // distinct ids agreeing above `bit` must split by it
-  const uint64_t prefix = live[lo] & ~LowBitMask(bit + 1);
-  const uint64_t boundary = prefix | (uint64_t{1} << bit);
+  const uint64_t boundary =
+      (live[lo] | (uint64_t{1} << bit)) & ~LowBitMask(bit);
   const size_t mid = static_cast<size_t>(
       std::lower_bound(live.begin() + static_cast<std::ptrdiff_t>(lo),
                        live.begin() + static_cast<std::ptrdiff_t>(hi),
                        boundary) -
       live.begin());
-  if (((self >> bit) & 1) != 0) {
-    CollectXorClosest(live, mid, hi, bit - 1, self, k, out);
-    CollectXorClosest(live, lo, mid, bit - 1, self, k, out);
-  } else {
-    CollectXorClosest(live, lo, mid, bit - 1, self, k, out);
-    CollectXorClosest(live, mid, hi, bit - 1, self, k, out);
+  if (((self >> bit) & 1) != 0) {  // the upper half [mid, hi) is nearer
+    if (hi - mid >= k) {
+      EmitXorClosest(live, mid, hi, bit - 1, self, k, emit);
+      return;
+    }
+    EmitXorClosest(live, lo, mid, bit - 1, self, k - (hi - mid), emit);
+    emit(mid, hi);
+  } else {  // the lower half [lo, mid) is nearer
+    if (mid - lo >= k) {
+      EmitXorClosest(live, lo, mid, bit - 1, self, k, emit);
+      return;
+    }
+    emit(lo, mid);
+    EmitXorClosest(live, mid, hi, bit - 1, self, k - (mid - lo), emit);
   }
 }
 
@@ -117,58 +125,32 @@ void KademliaNetwork::StepResponsible(ResponsibleCursor& cursor) const {
   cursor.done = true;
 }
 
-Status KademliaNetwork::StabilizeNode(uint64_t id) {
-  if (!store_.IsAlive(id)) return Status::NotFound("node not alive");
-  KademliaNode& node = *store_.Get(id);
+void KademliaNetwork::BuildCoreTables(size_t pos, KademliaNode& node,
+                                      Sweep& sweep) {
   const std::vector<uint64_t>& live = store_.live_ids();
+  const uint64_t id = live[pos];
 
-  // Buckets: class c's candidates are exactly the live ids sharing the
-  // first c bits with `id` and differing at bit c — a contiguous range of
-  // the sorted live array (two binary searches). A range that fits keeps
-  // every member (already id-sorted); an over-full range keeps the
-  // bucket_size XOR-closest via trie descent, re-sorted by id — the same
-  // retained set as the historical global sort-by-XOR-then-truncate, found
-  // without touching the other n - range ids. Trailing empty classes are
-  // not materialized.
+  // Buckets: bucket c's candidates are prefix class c, the live ids
+  // sharing exactly the first c bits with the node: a contiguous range of
+  // the sorted live array. A range that fits keeps every member; an
+  // over-full range keeps the bucket_size XOR-closest, emitted in id
+  // order. The walk ends at the last non-empty class, so trailing empty
+  // buckets are not materialized.
   scratch_entries_.clear();
   scratch_ends_.clear();
   const size_t bucket_size = static_cast<size_t>(params_.bucket_size);
-
-  size_t last_nonempty = 0;
-  bool any = false;
-  for (int c = 0; c < params_.bits; ++c) {
-    const int flip = params_.bits - 1 - c;  // bit position that differs
-    const uint64_t flipped = id ^ (uint64_t{1} << flip);
-    const size_t lo = store_.LowerBoundLive(flipped & ~LowBitMask(flip));
-    const size_t hi = store_.UpperBoundLive(flipped | LowBitMask(flip));
-    if (lo < hi) {
-      if (hi - lo <= bucket_size) {
-        scratch_entries_.insert(
-            scratch_entries_.end(),
-            live.begin() + static_cast<std::ptrdiff_t>(lo),
-            live.begin() + static_cast<std::ptrdiff_t>(hi));
-      } else {
-        scratch_bucket_.clear();
-        CollectXorClosest(live, lo, hi, flip - 1, id, bucket_size,
-                          scratch_bucket_);
-        std::sort(scratch_bucket_.begin(), scratch_bucket_.end());
-        scratch_entries_.insert(scratch_entries_.end(),
-                                scratch_bucket_.begin(),
-                                scratch_bucket_.end());
-      }
-      last_nonempty = static_cast<size_t>(c);
-      any = true;
-    }
+  auto append = [&](size_t lo, size_t hi) {
+    scratch_entries_.insert(scratch_entries_.end(),
+                            live.begin() + static_cast<std::ptrdiff_t>(lo),
+                            live.begin() + static_cast<std::ptrdiff_t>(hi));
+  };
+  sweep.Walk(live, pos, params_.bits, [&](int c, size_t lo, size_t hi) {
+    EmitXorClosest(live, lo, hi, params_.bits - 2 - c, id, bucket_size,
+                   append);
     scratch_ends_.push_back(scratch_entries_.size());
-  }
-  scratch_ends_.resize(any ? last_nonempty + 1 : 0);
+  });
   store_.tables().Assign(node.bucket_entries, scratch_entries_);
   store_.tables().Assign(node.bucket_ends, scratch_ends_);
-
-  // Prune dead auxiliaries (stale-entry removal).
-  store_.tables().EraseIf(node.auxiliaries,
-                          [this](uint64_t a) { return !IsAlive(a); });
-  return Status::Ok();
 }
 
 std::vector<uint64_t> KademliaNetwork::CoreNeighborIds(uint64_t id) const {

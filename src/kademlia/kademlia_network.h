@@ -47,8 +47,9 @@ using RouteResult = overlay::RouteResult;
 /// `bucket_ends[i]` is the end offset of bucket i within it, so the hot
 /// routing scan walks one contiguous span. Read through
 /// KademliaNetwork::Bucket/BucketCount/BucketEntries. Trailing empty
-/// buckets are not materialized (bucket_ends stops at the last non-empty
-/// class), matching the historical vector-of-vectors shape.
+/// buckets are not materialized: bucket_ends stops at the last non-empty
+/// class, the shape the naive model of
+/// FlatTables.KademliaFlatBucketsMatchNaiveModel builds.
 struct KademliaNode {
   uint64_t id = 0;
   /// Core neighbors: bucket i holds up to bucket_size live nodes w with
@@ -165,19 +166,22 @@ class KademliaNetwork : public overlay::OverlayBase<KademliaNetwork,
     }
   }
 
-  /// Rebuilds `id`'s buckets from live membership (periodic
-  /// stabilization). Dead auxiliaries are pruned (the paper's "stale
-  /// auxiliary entries are marked/removed; fixed at the next selection").
-  Status StabilizeNode(uint64_t id);
-
   /// Builds the core-neighbor list (all bucket entries, deduplicated) used
   /// as N_s for auxiliary selection at this node.
   std::vector<uint64_t> CoreNeighborIds(uint64_t id) const;
 
  private:
+  friend OverlayBase;
+
+  /// Stabilization sweep state: bucket c's candidates are prefix class c.
+  using Sweep = overlay::PrefixClassWalk;
+
+  /// Rebuilds the buckets of the live node at `pos` (OverlayBase's
+  /// stabilization step).
+  void BuildCoreTables(size_t pos, KademliaNode& node, Sweep& sweep);
+
   std::vector<uint64_t> scratch_entries_;  // stabilize buffers (serial)
   std::vector<uint64_t> scratch_ends_;
-  std::vector<uint64_t> scratch_bucket_;
 };
 
 }  // namespace peercache::kademlia

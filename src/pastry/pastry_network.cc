@@ -21,31 +21,27 @@ double EuclideanDistance(const Coord& a, const Coord& b) {
 
 }  // namespace
 
-Status PastryNetwork::StabilizeNode(uint64_t id) {
-  if (!store_.IsAlive(id)) return Status::NotFound("node not alive");
-  const uint32_t self_slot = store_.SlotOf(id);
-  PastryNode& node = store_.at_slot(self_slot);
+void PastryNetwork::BuildCoreTables(size_t pos, PastryNode& node,
+                                    Sweep& sweep) {
   overlay::FlatTableArena& tables = store_.tables();
   const std::vector<uint64_t>& live = store_.live_ids();
-  const Coord self = coords_[self_slot];
+  const size_t n = live.size();
+  const Coord self = coords_[store_.live_slot(pos)];
 
   // Routing rows with proximity neighbor selection (FreePastry's table
   // construction: the underlay-closest candidate per row). Row r's
-  // candidates are exactly the live ids sharing the first r bits with `id`
-  // and differing at bit r — a contiguous range of the sorted live array,
-  // found with two binary searches instead of a full-membership scan.
-  // Scanning the range in ascending id order with a strict `<` keeps the
-  // winner identical to the historical scan; a positive stabilize_sample
-  // probes evenly spaced candidates instead (large-n builds). Candidate
-  // live[i]'s coordinates are coords_[live_slot(i)]: no index probe.
+  // candidates are prefix class r, the live ids sharing exactly the first r
+  // bits with the node: a contiguous range of the sorted live array. The
+  // range is scanned in ascending id order with a strict `<`, so the first
+  // of equally close candidates wins; a positive stabilize_sample probes
+  // only the indices lo + (i * len) / sample instead (large-n builds).
+  // Candidate live[i]'s coordinates are coords_[live_slot(i)]: no index
+  // probe. CoreTables.PastryExactRowsAndLeafSetsMatchDefinition and
+  // CoreTables.PastrySampledRowsProbeTheDocumentedIndices pin both rules.
   scratch_.assign(static_cast<size_t>(params_.bits), kNoEntry);
-  for (int r = 0; r < params_.bits; ++r) {
-    const int flip = params_.bits - 1 - r;  // bit position that differs
-    const uint64_t flipped = id ^ (uint64_t{1} << flip);
-    const size_t lo = store_.LowerBoundLive(flipped & ~LowBitMask(flip));
-    const size_t hi = store_.UpperBoundLive(flipped | LowBitMask(flip));
-    if (lo >= hi) continue;
-    const size_t len = hi - lo;
+  const size_t sample =
+      static_cast<size_t>(std::max(params_.stabilize_sample, 0));
+  sweep.Walk(live, pos, params_.bits, [&](int r, size_t lo, size_t hi) {
     uint64_t best = kNoEntry;
     double best_dist = 0.0;
     auto probe = [&](size_t i) {
@@ -55,52 +51,47 @@ Status PastryNetwork::StabilizeNode(uint64_t id) {
         best_dist = d;
       }
     };
-    if (params_.stabilize_sample <= 0 ||
-        len <= static_cast<size_t>(params_.stabilize_sample)) {
+    const size_t len = hi - lo;
+    if (sample == 0 || len <= sample) {
       for (size_t i = lo; i < hi; ++i) probe(i);
     } else {
-      const size_t sample = static_cast<size_t>(params_.stabilize_sample);
-      for (size_t i = 0; i < sample; ++i) probe(lo + (i * len) / sample);
+      // lo + (k * len) / sample for k = 0 .. sample - 1, stepped: each step
+      // adds the quotient len / sample, and the remainder len % sample
+      // accumulates into one extra index whenever it reaches `sample`.
+      const size_t quotient = len / sample;
+      const size_t remainder = len % sample;
+      size_t i = lo;
+      size_t carry = 0;
+      for (size_t k = 0; k < sample; ++k) {
+        probe(i);
+        i += quotient;
+        carry += remainder;
+        if (carry >= sample) {
+          carry -= sample;
+          ++i;
+        }
+      }
     }
     scratch_[static_cast<size_t>(r)] = best;
-  }
+  });
   tables.Assign(node.routing_rows, scratch_);
 
   // Leaf set: numerically nearest live ids, leaf_set_half per side, with
   // the two sides kept separate so the router can compute the contiguous
-  // coverage arc exactly.
+  // coverage arc exactly. On a ring too small for both sides the
+  // predecessor side stops where it meets the successor side.
+  auto at = [&](size_t q) { return live[q < n ? q : q - n]; };
+  const size_t half = static_cast<size_t>(std::max(params_.leaf_set_half, 0));
+  const size_t succ_count = std::min(half, n - 1);
   scratch_.clear();
-  if (live.size() > 1) {
-    size_t succ = store_.UpperBoundLive(id);
-    for (int i = 0; i < params_.leaf_set_half; ++i) {
-      if (succ == live.size()) succ = 0;  // wrap
-      if (live[succ] == id) break;        // wrapped around
-      scratch_.push_back(live[succ]);
-      ++succ;
-    }
-  }
+  for (size_t j = 1; j <= succ_count; ++j) scratch_.push_back(at(pos + j));
   tables.Assign(node.leaf_succ, scratch_);
 
-  const auto succ_span = LeafSucc(node);
   scratch_.clear();
-  if (live.size() > 1) {
-    size_t pred = store_.LowerBoundLive(id);
-    for (int i = 0; i < params_.leaf_set_half; ++i) {
-      if (pred == 0) pred = live.size();  // wrap
-      --pred;
-      if (live[pred] == id) break;
-      if (std::find(succ_span.begin(), succ_span.end(), live[pred]) !=
-          succ_span.end()) {
-        break;  // small ring: sides met
-      }
-      scratch_.push_back(live[pred]);
-    }
+  for (size_t j = 1; j <= std::min(half, n - 1 - succ_count); ++j) {
+    scratch_.push_back(at(pos + n - j));
   }
   tables.Assign(node.leaf_pred, scratch_);
-
-  tables.EraseIf(node.auxiliaries,
-                 [this](uint64_t a) { return !IsAlive(a); });
-  return Status::Ok();
 }
 
 std::vector<uint64_t> PastryNetwork::CoreNeighborIds(uint64_t id) const {

@@ -31,9 +31,12 @@ struct PastryParams {
   /// Safety cap on route length.
   int max_route_hops = 256;
   /// Routing-row candidate probes per row during stabilization. 0 (the
-  /// default) scans every candidate — the exact historical behaviour. A
+  /// default) scans every candidate, so each row holds the underlay-closest
+  /// member of its class, as
+  /// CoreTables.PastryExactRowsAndLeafSetsMatchDefinition checks. A
   /// positive value probes that many evenly spaced candidates per row
-  /// instead, turning the O(n) per-node row fill into O(bits * sample) for
+  /// instead (CoreTables.PastrySampledRowsProbeTheDocumentedIndices),
+  /// turning the O(n) per-node row fill into O(bits * sample) for
   /// million-node builds at the cost of slightly farther row entries.
   int stabilize_sample = 0;
 };
@@ -53,8 +56,8 @@ struct Coord {
 
 /// Per-node Pastry state. Tables are FlatList slices into the network's
 /// FlatTableArena; read them through PastryNetwork::RoutingRows/LeafSucc/
-/// LeafPred/Auxiliaries. The historical `leaf_set` vector (succ ++ pred) is
-/// gone — iterate the two sides in that order for the same scan.
+/// LeafPred/Auxiliaries. The leaf set is the two sides; the router scans
+/// the successor side first, then the predecessor side.
 struct PastryNode {
   uint64_t id = 0;
   /// routing_rows[i]: a node sharing exactly the first i bits with `id`
@@ -185,16 +188,19 @@ class PastryNetwork
     }
   }
 
-  /// Rebuilds `id`'s routing rows and leaf set from live membership, with
-  /// proximity-aware row filling (closest candidate per row), and prunes
-  /// dead auxiliaries.
-  Status StabilizeNode(uint64_t id);
-
   /// Core neighbors for auxiliary selection: routing rows + leaf set.
   std::vector<uint64_t> CoreNeighborIds(uint64_t id) const;
 
  private:
   friend OverlayBase;
+
+  /// Stabilization sweep state: row r's candidates are prefix class r.
+  using Sweep = overlay::PrefixClassWalk;
+
+  /// Rebuilds the routing rows, with proximity-aware row filling (closest
+  /// candidate per row), and the leaf set of the live node at `pos`
+  /// (OverlayBase's stabilization step).
+  void BuildCoreTables(size_t pos, PastryNode& node, Sweep& sweep);
 
   // OverlayBase hooks: the coordinates are slot-indexed node-record data
   // kept beside the store.

@@ -91,10 +91,6 @@ TEST(NodeStore, BinarySearchesMatchSortedSemantics) {
   EXPECT_EQ(store.UpperBoundLive(20), 2u);
   EXPECT_EQ(store.LowerBoundLive(15), 1u);
   EXPECT_EQ(store.UpperBoundLive(35), 3u);
-
-  EXPECT_EQ(store.FirstLiveAtOrAfter(20), 20u);
-  EXPECT_EQ(store.FirstLiveAtOrAfter(21), 30u);
-  EXPECT_EQ(store.FirstLiveAtOrAfter(31), 10u);  // wraps
 }
 
 TEST(NodeStore, BulkMarkAliveMatchesIncrementalMarkAlive) {
