@@ -16,19 +16,14 @@ using peercache::bench::BenchArgs;
 using peercache::bench::FigureRow;
 using namespace peercache::experiments;
 
-ExperimentConfig MakeConfig(uint64_t seed, int n, int k, double ratio,
-                            int lists, const BenchArgs& args) {
-  ExperimentConfig cfg;
-  cfg.seed = seed;
+ExperimentConfig MakeConfig(int n, int k, double ratio, int lists,
+                            const BenchArgs& args) {
+  ExperimentConfig cfg = args.BaseConfig();
   cfg.n_nodes = n;
   cfg.k = k;
   cfg.alpha = 1.2;
   cfg.n_items = static_cast<size_t>(ratio * n);
   cfg.n_popularity_lists = lists;
-  cfg.warmup_queries_per_node = args.quick ? 100 : 300;
-  cfg.measure_queries_per_node = args.quick ? 100 : 200;
-  cfg.threads = args.threads;
-  args.ApplyObservability(cfg);
   return cfg;
 }
 
@@ -37,6 +32,7 @@ ExperimentConfig MakeConfig(uint64_t seed, int n, int k, double ratio,
 int main(int argc, char** argv) {
   BenchArgs args = BenchArgs::Parse(argc, argv);
   peercache::bench::FigureJson json("ablation_items", "chord+pastry", args);
+  peercache::bench::TraceLog traces;
   const int n = args.quick ? 256 : 512;
   const int k = args.quick ? 8 : 9;
 
@@ -49,28 +45,36 @@ int main(int argc, char** argv) {
   std::printf("%s\n", std::string(46, '-').c_str());
 
   for (double ratio : {0.25, 0.5, 1.0, 4.0, 16.0}) {
+    const ExperimentConfig chord_config = MakeConfig(n, k, ratio, 5, args);
+    const ExperimentConfig pastry_config = MakeConfig(n, k, ratio, 1, args);
     char label[64];
     std::snprintf(label, sizeof(label), "chord items/n=%.2f", ratio);
     FigureRow chord = AveragedRow(
         args,
         [&](uint64_t seed) {
-          return CompareStable<ChordPolicy>(MakeConfig(seed, n, k, ratio, 5, args));
+          ExperimentConfig seeded = chord_config;
+          seeded.seed = seed;
+          return CompareStable<ChordPolicy>(seeded);
         },
         label, "-");
     std::snprintf(label, sizeof(label), "pastry items/n=%.2f", ratio);
     FigureRow pastry = AveragedRow(
         args,
         [&](uint64_t seed) {
-          return CompareStable<PastryPolicy>(MakeConfig(seed, n, k, ratio, 1, args));
+          ExperimentConfig seeded = pastry_config;
+          seeded.seed = seed;
+          return CompareStable<PastryPolicy>(seeded);
         },
         label, "-");
     if (!chord.detail.has_value() || !pastry.detail.has_value()) continue;
     std::printf("%-12.2f %14.1f %% %14.1f %%\n", ratio, chord.improvement_pct,
                 pastry.improvement_pct);
-    json.AddRow(chord, "stable",
-                MakeConfig(args.base_seed, n, k, ratio, 5, args));
-    json.AddRow(pastry, "stable",
-                MakeConfig(args.base_seed, n, k, ratio, 1, args));
+    traces.AddRow(chord, "chord");
+    traces.AddRow(pastry, "pastry");
+    json.AddRow(chord, "stable", chord_config);
+    json.AddRow(pastry, "stable", pastry_config);
   }
-  return json.WriteIfRequested(args);
+  const int json_rc = json.WriteIfRequested(args);
+  const int trace_rc = traces.WriteIfRequested(args);
+  return json_rc != 0 ? json_rc : trace_rc;
 }

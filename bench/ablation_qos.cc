@@ -48,8 +48,8 @@ SelectionInput MakeInstance(Rng& rng, int n, int k, double bound_fraction,
 }  // namespace
 
 int main(int argc, char** argv) {
-  peercache::bench::BenchArgs args =
-      peercache::bench::BenchArgs::Parse(argc, argv);
+  peercache::bench::BenchArgs args = peercache::bench::BenchArgs::Parse(
+      argc, argv, peercache::bench::kLookupRunFlags);
   const int n = args.quick ? 100 : 300;
   const int k = 12;
   const int kTrials = args.quick ? 10 : 40;

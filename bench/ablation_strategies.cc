@@ -12,8 +12,8 @@
 int main(int argc, char** argv) {
   using peercache::itemcache::CompareStrategies;
   using peercache::itemcache::StrategyCompareConfig;
-  peercache::bench::BenchArgs args =
-      peercache::bench::BenchArgs::Parse(argc, argv);
+  peercache::bench::BenchArgs args = peercache::bench::BenchArgs::Parse(
+      argc, argv, peercache::bench::kLookupRunFlags);
 
   // Strategy comparisons have their own result shape (no three-policy
   // Comparison), so this binary emits its own row schema.

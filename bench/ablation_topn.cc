@@ -20,20 +20,14 @@ using peercache::bench::BenchArgs;
 using peercache::bench::FigureRow;
 using namespace peercache::experiments;
 
-ExperimentConfig MakeConfig(uint64_t seed, size_t capacity,
-                            const BenchArgs& args) {
-  ExperimentConfig cfg;
-  cfg.seed = seed;
+ExperimentConfig MakeConfig(size_t capacity, const BenchArgs& args) {
+  ExperimentConfig cfg = args.BaseConfig();
   cfg.n_nodes = 512;
   cfg.k = 9;
   cfg.alpha = 1.2;
   cfg.n_items = 512;
   cfg.n_popularity_lists = 5;
   cfg.frequency_capacity = capacity;
-  cfg.warmup_queries_per_node = args.quick ? 100 : 300;
-  cfg.measure_queries_per_node = args.quick ? 100 : 200;
-  cfg.threads = args.threads;
-  args.ApplyObservability(cfg);
   return cfg;
 }
 
@@ -42,6 +36,7 @@ ExperimentConfig MakeConfig(uint64_t seed, size_t capacity,
 int main(int argc, char** argv) {
   BenchArgs args = BenchArgs::Parse(argc, argv);
   peercache::bench::FigureJson json("ablation_topn", "chord", args);
+  peercache::bench::TraceLog traces;
 
   std::printf(
       "Ablation — frequency-table capacity (Space-Saving top-n) vs lookup "
@@ -52,8 +47,11 @@ int main(int argc, char** argv) {
 
   for (size_t capacity : {size_t{8}, size_t{16}, size_t{32}, size_t{64},
                           size_t{128}, size_t{0}}) {
+    const ExperimentConfig config = MakeConfig(capacity, args);
     auto compare = [&](uint64_t seed) {
-      return CompareStable<ChordPolicy>(MakeConfig(seed, capacity, args));
+      ExperimentConfig seeded = config;
+      seeded.seed = seed;
+      return CompareStable<ChordPolicy>(seeded);
     };
     char cap_label[32];
     if (capacity == 0) {
@@ -65,7 +63,10 @@ int main(int argc, char** argv) {
     if (!row.detail.has_value()) continue;
     std::printf("%-12s %9.3f hp %9.3f hp %12.1f %%\n", cap_label,
                 row.oblivious_hops, row.optimal_hops, row.improvement_pct);
-    json.AddRow(row, "stable", MakeConfig(args.base_seed, capacity, args));
+    traces.AddRow(row, "chord");
+    json.AddRow(row, "stable", config);
   }
-  return json.WriteIfRequested(args);
+  const int json_rc = json.WriteIfRequested(args);
+  const int trace_rc = traces.WriteIfRequested(args);
+  return json_rc != 0 ? json_rc : trace_rc;
 }

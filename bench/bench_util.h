@@ -6,7 +6,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -55,7 +57,8 @@ namespace peercache::bench {
 ///                        (default 0 = off, or 100 with --trace-out)
 ///
 /// Each harness applies the fault, latency and trace knobs to every run
-/// config via `ApplyObservability`.
+/// config via `ApplyObservability`; a driver that cannot honour some of the
+/// shared flags names them to `Parse`, which refuses them.
 struct BenchArgs {
   bool quick = false;
   int seeds = 1;
@@ -68,9 +71,19 @@ struct BenchArgs {
   std::string trace_out;
   int trace_sample = 0;
 
-  static BenchArgs Parse(int argc, char** argv) {
+  /// Parses the shared flags. A flag that starts with one of `refused` (the
+  /// ones a driver's runs cannot honour) ends the process with status 2.
+  static BenchArgs Parse(int argc, char** argv,
+                         std::span<const std::string_view> refused = {}) {
     BenchArgs args;
     for (int i = 1; i < argc; ++i) {
+      for (std::string_view prefix : refused) {
+        if (std::string_view(argv[i]).starts_with(prefix)) {
+          std::fprintf(stderr, "%s: %s is not supported by this driver\n",
+                       argv[0], argv[i]);
+          std::exit(2);
+        }
+      }
       if (std::strcmp(argv[i], "--quick") == 0) {
         args.quick = true;
       } else if (std::strcmp(argv[i], "--seeds") == 0 && i + 1 < argc) {
@@ -152,15 +165,35 @@ struct BenchArgs {
   }
 
   /// Copies the observability knobs (fault plan, latency model, ping matrix,
-  /// trace sampling) into one run's config. Harnesses call this from their
-  /// MakeConfig so every row honors the shared command line.
+  /// trace sampling) into one run's config, so every row honors the shared
+  /// command line.
   void ApplyObservability(experiments::ExperimentConfig& cfg) const {
     cfg.faults = faults;
     cfg.latency = latency;
     cfg.latency_matrix = latency_matrix;
     if (trace_sample > 0) cfg.trace_sample_period = trace_sample;
   }
+
+  /// The config every figure and ablation row is built on: the base seed,
+  /// 100 warmup and 100 measured queries per node under --quick (else 300
+  /// and 200), the thread count and the observability knobs.
+  experiments::ExperimentConfig BaseConfig() const {
+    experiments::ExperimentConfig cfg;
+    cfg.seed = base_seed;
+    cfg.warmup_queries_per_node = quick ? 100 : 300;
+    cfg.measure_queries_per_node = quick ? 100 : 200;
+    cfg.threads = threads;
+    ApplyObservability(cfg);
+    return cfg;
+  }
 };
+
+/// The shared flags that shape lookup runs: seed averaging, the thread
+/// pool, the fault plan, the latency model, route traces and the profiler.
+/// Drivers that run no lookup experiment refuse them.
+inline constexpr std::string_view kLookupRunFlags[] = {
+    "--seeds", "--threads", "--fault-", "--no-fault-retries",
+    "--latency-", "--trace-", "--profile"};
 
 /// One row of a figure table. Two improvement columns are reported:
 ///  * `improvement_pct`, the paper's metric (vs the frequency-oblivious
@@ -245,11 +278,10 @@ FigureRow AveragedRow(const BenchArgs& args, CompareFn compare,
 /// period is active (--trace-sample, or --trace-out's default of 100).
 class TraceLog {
  public:
-  explicit TraceLog(std::string system) : system_(std::move(system)) {}
-
   /// Appends every sampled trace of the row's detail comparison (the last
-  /// successful seed). No-op for rows without detail.
-  void AddRow(const FigureRow& row) {
+  /// successful seed), each line naming `system`, the overlay the row ran
+  /// on. No-op for rows without detail.
+  void AddRow(const FigureRow& row, const std::string& system) {
     if (!row.detail.has_value()) return;
     const std::pair<const char*, const experiments::RunResult*> runs[] = {
         {"none", &row.detail->none},
@@ -257,7 +289,7 @@ class TraceLog {
         {"optimal", &row.detail->optimal}};
     for (const auto& [policy, run] : runs) {
       for (const RouteTrace& trace : run->traces) {
-        lines_ += experiments::TraceJsonLine(system_, policy, trace);
+        lines_ += experiments::TraceJsonLine(system, policy, trace);
         lines_ += '\n';
         ++count_;
       }
@@ -279,7 +311,6 @@ class TraceLog {
   }
 
  private:
-  std::string system_;
   std::string lines_;
   size_t count_ = 0;
 };

@@ -28,6 +28,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -286,37 +287,41 @@ bool RunCluster(const bench::BenchArgs& bench_args, const ClusterArgs& cargs,
   cache_config.aux_capacity = static_cast<uint32_t>(config.k);
   cache_config.freq_capacity = 32;
   cache_config.salt = SplitSeed(config.seed, 0x70636373);  // "pccs"
-  Result<net::PeerCache> cache_result =
-      net::PeerCache::Create(cargs.cache_file, cache_config);
-  if (!cache_result.ok()) {
-    std::fprintf(stderr, "PeerCache::Create failed: %s\n",
-                 cache_result.status().ToString().c_str());
-    return false;
-  }
-  net::PeerCache cache = std::move(cache_result).value();
   std::vector<std::vector<uint64_t>> installed(ids.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    const auto* node = net.GetNode(ids[i]);
-    installed[i] = TopKByFrequency(node->frequencies, ids[i], config.k);
-    if (Status st = net.SetAuxiliaries(ids[i], installed[i]); !st.ok()) {
-      std::fprintf(stderr, "SetAuxiliaries failed: %s\n",
+  {
+    // The writer closes at the end of this block: the file has one writer
+    // at a time, and the restart below reopens it.
+    Result<net::PeerCache> cache_result =
+        net::PeerCache::Create(cargs.cache_file, cache_config);
+    if (!cache_result.ok()) {
+      std::fprintf(stderr, "PeerCache::Create failed: %s\n",
+                   cache_result.status().ToString().c_str());
+      return false;
+    }
+    net::PeerCache cache = std::move(cache_result).value();
+    for (size_t i = 0; i < ids.size(); ++i) {
+      const auto* node = net.GetNode(ids[i]);
+      installed[i] = TopKByFrequency(node->frequencies, ids[i], config.k);
+      if (Status st = net.SetAuxiliaries(ids[i], installed[i]); !st.ok()) {
+        std::fprintf(stderr, "SetAuxiliaries failed: %s\n",
+                     st.ToString().c_str());
+        return false;
+      }
+      net::PeerRecord record;
+      record.node_id = ids[i];
+      record.auxiliaries = installed[i];
+      record.frequencies = FrequencyPairs(node->frequencies, ids[i]);
+      if (Status st = cache.Put(record); !st.ok()) {
+        std::fprintf(stderr, "PeerCache::Put failed: %s\n",
+                     st.ToString().c_str());
+        return false;
+      }
+    }
+    if (Status st = cache.Sync(); !st.ok()) {
+      std::fprintf(stderr, "PeerCache::Sync failed: %s\n",
                    st.ToString().c_str());
       return false;
     }
-    net::PeerRecord record;
-    record.node_id = ids[i];
-    record.auxiliaries = installed[i];
-    record.frequencies = FrequencyPairs(node->frequencies, ids[i]);
-    if (Status st = cache.Put(record); !st.ok()) {
-      std::fprintf(stderr, "PeerCache::Put failed: %s\n",
-                   st.ToString().c_str());
-      return false;
-    }
-  }
-  if (Status st = cache.Sync(); !st.ok()) {
-    std::fprintf(stderr, "PeerCache::Sync failed: %s\n",
-                 st.ToString().c_str());
-    return false;
   }
   const double warmup_seconds = Seconds(t_warm);
 
@@ -635,9 +640,22 @@ int main(int argc, char** argv) {
       rest.push_back(argv[i]);
     }
   }
-  bench::BenchArgs args =
-      bench::BenchArgs::Parse(static_cast<int>(rest.size()), rest.data());
+  // One seed per run, no route traces, no ping matrix and no profile block.
+  constexpr std::string_view kRefused[] = {"--seeds", "--trace-",
+                                           "--latency-matrix", "--profile"};
+  bench::BenchArgs args = bench::BenchArgs::Parse(
+      static_cast<int>(rest.size()), rest.data(), kRefused);
   if (args.quick && cargs.n == 10000) cargs.n = 1000;
+  // A kill fraction of 1 would leave the outage round no origin to draw.
+  if (!(cargs.kill_frac >= 0.0 && cargs.kill_frac < 1.0)) {
+    std::fprintf(stderr, "--kill-frac must be in [0, 1), got %g\n",
+                 cargs.kill_frac);
+    return 2;
+  }
+  if (cargs.n < 1) {
+    std::fprintf(stderr, "--n must be at least 1, got %d\n", cargs.n);
+    return 2;
+  }
 
   std::string json_doc;
   bool ok = false;

@@ -5,90 +5,11 @@
 // Paper's reported trend: improvement grows with n; ~49% at n=2048 with
 // alpha=1.2; up to ~29% with alpha=0.91.
 
-#include <cstdio>
+#include "figure_sweeps.h"
 
-#include "bench_util.h"
-#include "experiments/generic_experiment.h"
-
-namespace {
-
-using peercache::CeilLog2;
-using peercache::bench::AveragedRow;
-using peercache::bench::BenchArgs;
-using peercache::bench::FigureRow;
-using peercache::bench::PrintFigureHeader;
-using peercache::bench::PrintFigureRow;
-using namespace peercache::experiments;
-
-const char* PaperReference(int n, double alpha) {
-  if (alpha >= 1.0) {
-    switch (n) {
-      case 256:
-        return "~40%";
-      case 512:
-        return "~44%";
-      case 1024:
-        return "~47%";
-      case 2048:
-        return "~49%";
-    }
-  } else {
-    switch (n) {
-      case 256:
-        return "~22%";
-      case 512:
-        return "~25%";
-      case 1024:
-        return "~27%";
-      case 2048:
-        return "~29%";
-    }
-  }
-  return "-";
-}
-
-ExperimentConfig MakeConfig(uint64_t seed, int n, double alpha,
-                            const BenchArgs& args) {
-  ExperimentConfig cfg;
-  cfg.seed = seed;
-  cfg.n_nodes = n;
-  cfg.k = CeilLog2(static_cast<uint64_t>(n));
-  cfg.alpha = alpha;
-  cfg.n_items = static_cast<size_t>(n);
-  cfg.n_popularity_lists = 1;  // identical ranking at all nodes
-  cfg.warmup_queries_per_node = args.quick ? 100 : 300;
-  cfg.measure_queries_per_node = args.quick ? 100 : 200;
-  cfg.threads = args.threads;
-  args.ApplyObservability(cfg);
-  return cfg;
-}
-
-}  // namespace
-
+// The rows, their configs and the paper's values are Fig3PastryVaryN in
+// figure_sweeps.h.
 int main(int argc, char** argv) {
-  BenchArgs args = BenchArgs::Parse(argc, argv);
-  peercache::bench::FigureJson json("fig3_pastry_vary_n", "pastry", args);
-  peercache::bench::TraceLog traces("pastry");
-  PrintFigureHeader(
-      "Figure 3 — Pastry: improvement vs n (k = log2 n, identical ranking)",
-      "n / alpha");
-  const int sizes[] = {256, 512, 1024, 2048};
-  for (double alpha : {1.2, 0.91}) {
-    for (int n : sizes) {
-      if (args.quick && n > 512) continue;
-      auto compare = [&](uint64_t seed) {
-        return CompareStable<PastryPolicy>(MakeConfig(seed, n, alpha, args));
-      };
-      char label[64];
-      std::snprintf(label, sizeof(label), "n=%-5d alpha=%.2f", n, alpha);
-      FigureRow row =
-          AveragedRow(args, compare, label, PaperReference(n, alpha));
-      PrintFigureRow(row);
-      traces.AddRow(row);
-      json.AddRow(row, "stable", MakeConfig(args.base_seed, n, alpha, args));
-    }
-  }
-  const int json_rc = json.WriteIfRequested(args);
-  const int trace_rc = traces.WriteIfRequested(args);
-  return json_rc != 0 ? json_rc : trace_rc;
+  using namespace peercache::bench;
+  return RunFigure(Fig3PastryVaryN, argc, argv);
 }

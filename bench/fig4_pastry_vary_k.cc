@@ -8,87 +8,11 @@
 // closest candidate is taken, so extra oblivious entries rarely shorten
 // routes while optimal entries keep adding long prefix jumps.
 
-#include <cstdio>
+#include "figure_sweeps.h"
 
-#include "bench_util.h"
-#include "experiments/generic_experiment.h"
-
-namespace {
-
-using peercache::bench::AveragedRow;
-using peercache::bench::BenchArgs;
-using peercache::bench::FigureRow;
-using peercache::bench::PrintFigureHeader;
-using peercache::bench::PrintFigureRow;
-using namespace peercache::experiments;
-
-const char* PaperReference(int multiple, double alpha) {
-  if (alpha >= 1.0) {
-    switch (multiple) {
-      case 1:
-        return "~50%";
-      case 2:
-        return "~56%";
-      case 3:
-        return "~60%";
-    }
-  } else {
-    switch (multiple) {
-      case 1:
-        return "~27%";
-      case 2:
-        return "~31%";
-      case 3:
-        return "~34%";
-    }
-  }
-  return "-";
-}
-
-ExperimentConfig MakeConfig(uint64_t seed, int k, double alpha,
-                            const BenchArgs& args) {
-  const int n = 1024;
-  ExperimentConfig cfg;
-  cfg.seed = seed;
-  cfg.n_nodes = n;
-  cfg.k = k;
-  cfg.alpha = alpha;
-  cfg.n_items = static_cast<size_t>(n);
-  cfg.n_popularity_lists = 1;
-  cfg.warmup_queries_per_node = args.quick ? 100 : 300;
-  cfg.measure_queries_per_node = args.quick ? 100 : 200;
-  cfg.threads = args.threads;
-  args.ApplyObservability(cfg);
-  return cfg;
-}
-
-}  // namespace
-
+// The rows, their configs and the paper's values are Fig4PastryVaryK in
+// figure_sweeps.h.
 int main(int argc, char** argv) {
-  BenchArgs args = BenchArgs::Parse(argc, argv);
-  peercache::bench::FigureJson json("fig4_pastry_vary_k", "pastry", args);
-  peercache::bench::TraceLog traces("pastry");
-  const int log_n = 10;
-  PrintFigureHeader("Figure 4 — Pastry: improvement vs k (n = 1024)",
-                    "k / alpha");
-  for (double alpha : {1.2, 0.91}) {
-    for (int multiple = 1; multiple <= 3; ++multiple) {
-      if (args.quick && multiple == 2) continue;
-      const int k = multiple * log_n;
-      auto compare = [&](uint64_t seed) {
-        return CompareStable<PastryPolicy>(MakeConfig(seed, k, alpha, args));
-      };
-      char label[64];
-      std::snprintf(label, sizeof(label), "k=%dlogn=%-3d a=%.2f", multiple, k,
-                    alpha);
-      FigureRow row =
-          AveragedRow(args, compare, label, PaperReference(multiple, alpha));
-      PrintFigureRow(row);
-      traces.AddRow(row);
-      json.AddRow(row, "stable", MakeConfig(args.base_seed, k, alpha, args));
-    }
-  }
-  const int json_rc = json.WriteIfRequested(args);
-  const int trace_rc = traces.WriteIfRequested(args);
-  return json_rc != 0 ? json_rc : trace_rc;
+  using namespace peercache::bench;
+  return RunFigure(Fig4PastryVaryK, argc, argv);
 }

@@ -9,62 +9,11 @@
 // follow the same trend since its distance classes coincide with Pastry's
 // prefix slices.
 
-#include <cstdio>
+#include "figure_sweeps.h"
 
-#include "bench_util.h"
-#include "experiments/generic_experiment.h"
-
-namespace {
-
-using peercache::bench::AveragedRow;
-using peercache::bench::BenchArgs;
-using peercache::bench::FigureRow;
-using peercache::bench::PrintFigureHeader;
-using peercache::bench::PrintFigureRow;
-using namespace peercache::experiments;
-
-ExperimentConfig MakeConfig(uint64_t seed, int k,
-                            const peercache::bench::BenchArgs& args) {
-  ExperimentConfig cfg;
-  cfg.seed = seed;
-  cfg.n_nodes = 1024;
-  cfg.k = k;
-  cfg.alpha = 1.2;
-  cfg.n_items = 1024;
-  cfg.n_popularity_lists = 1;
-  cfg.warmup_queries_per_node = args.quick ? 100 : 300;
-  cfg.measure_queries_per_node = args.quick ? 100 : 200;
-  cfg.threads = args.threads;
-  args.ApplyObservability(cfg);
-  return cfg;
-}
-
-}  // namespace
-
+// The rows, their configs and the paper's values are KademliaVaryK in
+// figure_sweeps.h.
 int main(int argc, char** argv) {
-  BenchArgs args = BenchArgs::Parse(argc, argv);
-  peercache::bench::FigureJson json("kademlia_vary_k", "kademlia", args);
-  peercache::bench::TraceLog traces("kademlia");
-  const int log_n = 10;
-
-  PrintFigureHeader(
-      "Kademlia: improvement vs k (n = 1024), stable", "k");
-  for (int multiple = 1; multiple <= 3; ++multiple) {
-    if (args.quick && multiple == 2) continue;
-    auto compare = [&](uint64_t seed) {
-      return CompareStable<KademliaPolicy>(
-          MakeConfig(seed, multiple * log_n, args));
-    };
-    char label[64];
-    std::snprintf(label, sizeof(label), "k=%dlogn=%-3d stable", multiple,
-                  multiple * log_n);
-    FigureRow row = AveragedRow(args, compare, label, "-");
-    PrintFigureRow(row);
-    traces.AddRow(row);
-    json.AddRow(row, "stable",
-                MakeConfig(args.base_seed, multiple * log_n, args));
-  }
-  const int json_rc = json.WriteIfRequested(args);
-  const int trace_rc = traces.WriteIfRequested(args);
-  return json_rc != 0 ? json_rc : trace_rc;
+  using namespace peercache::bench;
+  return RunFigure(KademliaVaryK, argc, argv);
 }

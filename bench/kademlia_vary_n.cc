@@ -12,78 +12,11 @@
 // rows here use the default incremental (observed-frequency) maintainer
 // path — the backend never had a full-rebuild era to stay comparable with.
 
-#include <cstdio>
+#include "figure_sweeps.h"
 
-#include "bench_util.h"
-#include "experiments/generic_experiment.h"
-
-namespace {
-
-using peercache::CeilLog2;
-using peercache::bench::AveragedRow;
-using peercache::bench::BenchArgs;
-using peercache::bench::FigureRow;
-using peercache::bench::PrintFigureHeader;
-using peercache::bench::PrintFigureRow;
-using namespace peercache::experiments;
-
-ExperimentConfig MakeConfig(uint64_t seed, int n,
-                            const peercache::bench::BenchArgs& args) {
-  ExperimentConfig cfg;
-  cfg.seed = seed;
-  cfg.n_nodes = n;
-  cfg.k = CeilLog2(static_cast<uint64_t>(n));
-  cfg.alpha = 1.2;
-  cfg.n_items = static_cast<size_t>(n);
-  cfg.n_popularity_lists = 1;  // one global ranking, as in the Pastry setup
-  cfg.warmup_queries_per_node = args.quick ? 100 : 300;
-  cfg.measure_queries_per_node = args.quick ? 100 : 200;
-  cfg.threads = args.threads;
-  args.ApplyObservability(cfg);
-  return cfg;
-}
-
-}  // namespace
-
+// The rows, their configs and the paper's values are KademliaVaryN in
+// figure_sweeps.h.
 int main(int argc, char** argv) {
-  BenchArgs args = BenchArgs::Parse(argc, argv);
-  peercache::bench::FigureJson json("kademlia_vary_n", "kademlia", args);
-  peercache::bench::TraceLog traces("kademlia");
-  const int sizes[] = {128, 256, 512, 1024};
-
-  PrintFigureHeader(
-      "Kademlia: improvement vs n (k = log2 n), stable", "n");
-  for (int n : sizes) {
-    if (args.quick && n > 256) continue;
-    auto compare = [&](uint64_t seed) {
-      return CompareStable<KademliaPolicy>(MakeConfig(seed, n, args));
-    };
-    char label[64];
-    std::snprintf(label, sizeof(label), "n=%-5d stable", n);
-    FigureRow row = AveragedRow(args, compare, label, "-");
-    PrintFigureRow(row);
-    traces.AddRow(row);
-    json.AddRow(row, "stable", MakeConfig(args.base_seed, n, args));
-  }
-
-  PrintFigureHeader(
-      "\nKademlia: improvement vs n (k = log2 n), high churn", "n");
-  for (int n : sizes) {
-    if (args.quick && n > 256) continue;
-    auto compare = [&](uint64_t seed) {
-      ChurnConfig churn;  // paper's parameters by default
-      churn.warmup_s = args.quick ? 1200 : 3600;
-      churn.measure_s = args.quick ? 1200 : 3600;
-      return CompareChurn<KademliaPolicy>(MakeConfig(seed, n, args), churn);
-    };
-    char label[64];
-    std::snprintf(label, sizeof(label), "n=%-5d churn", n);
-    FigureRow row = AveragedRow(args, compare, label, "-");
-    PrintFigureRow(row);
-    traces.AddRow(row);
-    json.AddRow(row, "churn", MakeConfig(args.base_seed, n, args));
-  }
-  const int json_rc = json.WriteIfRequested(args);
-  const int trace_rc = traces.WriteIfRequested(args);
-  return json_rc != 0 ? json_rc : trace_rc;
+  using namespace peercache::bench;
+  return RunFigure(KademliaVaryN, argc, argv);
 }

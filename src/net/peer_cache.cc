@@ -1,6 +1,7 @@
 #include "net/peer_cache.h"
 
 #include <fcntl.h>
+#include <sys/file.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -34,6 +35,27 @@ uint32_t SaltSeed(uint64_t salt) {
   uint8_t bytes[8];
   for (int i = 0; i < 8; ++i) bytes[i] = static_cast<uint8_t>(salt >> (8 * i));
   return Crc32(std::span<const uint8_t>(bytes, 8));
+}
+
+/// Opens `path` read-write, with the extra open `flags` (O_CREAT for
+/// Create), and takes the file's writer lock; fails when another PeerCache
+/// holds it. flock locks belong to the open file description, not to the
+/// process, so a second open inside this process is refused too (POSIX
+/// record locks would let every actor of one process in).
+Result<int> OpenLocked(const std::string& path, int flags) {
+  const int fd = ::open(path.c_str(), O_RDWR | flags, 0644);
+  if (fd < 0) return Errno("open");
+  if (::flock(fd, LOCK_EX | LOCK_NB) != 0) {
+    const int err = errno;
+    ::close(fd);
+    if (err == EWOULDBLOCK) {
+      return Status::FailedPrecondition("peer cache " + path +
+                                        " is open in another writer");
+    }
+    errno = err;
+    return Errno("flock");
+  }
+  return fd;
 }
 
 bool ReadExact(int fd, uint64_t offset, uint8_t* buf, size_t len) {
@@ -138,16 +160,20 @@ Result<PeerCache> PeerCache::Create(const std::string& path,
       config.freq_capacity > kMaxListCapacity) {
     return Status::InvalidArgument("bad list capacity");
   }
-  const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return Errno("open");
+  Result<int> locked = OpenLocked(path, O_CREAT);
+  if (!locked.ok()) return locked.status();
+  const int fd = *locked;
   PeerCache cache;
   cache.fd_ = fd;
   cache.config_ = config;
   cache.slot_ids_.assign(config.slot_count, kEmptySlot);
-  // ftruncate zero-fills the slot region: state 0 everywhere == all empty.
+  // Truncating only under the lock never cuts a live writer's file. The
+  // second ftruncate zero-fills the slot region: state 0 everywhere == all
+  // empty.
   const uint64_t file_size =
       kHeaderSize + uint64_t{config.slot_count} * cache.RecordSize();
-  if (::ftruncate(fd, static_cast<off_t>(file_size)) != 0) {
+  if (::ftruncate(fd, 0) != 0 ||
+      ::ftruncate(fd, static_cast<off_t>(file_size)) != 0) {
     return Errno("ftruncate");
   }
   std::vector<uint8_t> header;
@@ -170,8 +196,9 @@ Result<PeerCache> PeerCache::Create(const std::string& path,
 }
 
 Result<PeerCache> PeerCache::Open(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDWR);
-  if (fd < 0) return Errno("open");
+  Result<int> locked = OpenLocked(path, 0);
+  if (!locked.ok()) return locked.status();
+  const int fd = *locked;
   PeerCache cache;
   cache.fd_ = fd;
   std::vector<uint8_t> header(kHeaderSize);

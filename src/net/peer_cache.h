@@ -59,11 +59,17 @@ struct PeerCacheStats {
 ///
 /// Durability: Put writes with pwrite; call Sync to fsync before a point
 /// where a crash must not lose accepted records.
+///
+/// A file has one writer at a time: Create and Open take an exclusive
+/// flock on it, held until the PeerCache is destroyed, and fail with
+/// FailedPrecondition while another PeerCache, in this process or another,
+/// holds it. A file left by a closed or killed writer opens normally.
 class PeerCache {
  public:
   static constexpr uint32_t kProbeWindow = 8;
 
-  /// Creates (truncating) a cache file with the given geometry.
+  /// Creates a cache file with the given geometry, truncating an existing
+  /// file once it holds the file's lock.
   static Result<PeerCache> Create(const std::string& path,
                                   const PeerCacheConfig& config);
 

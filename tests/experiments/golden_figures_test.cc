@@ -1,9 +1,10 @@
-// Golden-file differential test for the generic experiment engine: the
-// cheapest row of each committed figure document (results/fig3..6.json and
-// results/kademlia_vary_{n,k}.json, written by results/regenerate.sh with
-// --seeds 2) must be reproduced byte-identically — every deterministic row
-// field formats to the exact string stored in the golden file, at thread
-// counts 1 and 4.
+// Golden-file differential test for the figure sweeps: every definition in
+// bench/figure_sweeps.h must match the committed document its driver wrote
+// (results/fig3..6.json and results/kademlia_vary_{n,k}.json, written by
+// results/regenerate.sh with --seeds 2), row for row: label, order, mode,
+// paper reference and config. The cheapest rows of each figure are also
+// replayed, and every deterministic column must format to the exact string
+// stored in the golden file, at thread counts 1 and 4.
 //
 // Wall-clock timings inside the documents (phase_seconds, seconds) are the
 // only non-deterministic fields; the comparison therefore targets the
@@ -11,21 +12,30 @@
 // (seed, config) alone.
 
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "bench_util.h"
-#include "common/bits.h"
 #include "common/json_writer.h"
-#include "experiments/generic_experiment.h"
+#include "experiments/json_report.h"
+#include "figure_sweeps.h"
 #include "gtest/gtest.h"
 
-namespace peercache::experiments {
+namespace peercache::bench {
 namespace {
 
-using bench::AveragedRow;
-using bench::BenchArgs;
-using bench::FigureRow;
+using experiments::ExperimentConfig;
+
+/// Each figure and the document results/regenerate.sh writes from it.
+const std::pair<FigureDefinition, const char*> kCommittedFigures[] = {
+    {Fig3PastryVaryN, "fig3.json"},
+    {Fig4PastryVaryK, "fig4.json"},
+    {Fig5ChordVaryN, "fig5.json"},
+    {Fig6ChordVaryK, "fig6.json"},
+    {KademliaVaryN, "kademlia_vary_n.json"},
+    {KademliaVaryK, "kademlia_vary_k.json"}};
 
 std::string ReadGolden(const std::string& name) {
   const std::string path = std::string(PEERCACHE_RESULTS_DIR) + "/" + name;
@@ -36,48 +46,26 @@ std::string ReadGolden(const std::string& name) {
   return out.str();
 }
 
-/// Extracts the literal JSON text of `key` inside the row object labeled
-/// `label`. The row-level figure columns are serialized before the nested
-/// "detail" comparison document, so the first match after the label is the
-/// row's own field.
-std::string GoldenField(const std::string& doc, const std::string& label,
-                        const std::string& key) {
-  const size_t row = doc.find("\"label\":\"" + label + "\"");
-  if (row == std::string::npos) return "<label not found>";
+/// The literal JSON text of the first `key` value at or after `pos` in
+/// `doc` — a string with its quotes, a flat object with its braces, or a
+/// number — and moves `pos` past it.
+std::string NextValue(const std::string& doc, const std::string& key,
+                      size_t& pos) {
   const std::string needle = "\"" + key + "\":";
-  const size_t pos = doc.find(needle, row);
-  if (pos == std::string::npos) return "<key not found>";
-  const size_t start = pos + needle.size();
-  const size_t end = doc.find_first_of(",}", start);
+  const size_t at = doc.find(needle, pos);
+  if (at == std::string::npos) return "<" + key + " not found>";
+  const size_t start = at + needle.size();
+  size_t end = doc.find_first_of(",}", start);
+  if (doc[start] == '"') end = doc.find('"', start + 1) + 1;
+  if (doc[start] == '{') end = doc.find('}', start) + 1;
+  pos = end;
   return doc.substr(start, end - start);
 }
 
-/// Asserts that every deterministic figure column of `row` renders to the
-/// byte-exact string committed under `label` in `doc`.
-void ExpectRowMatchesGolden(const FigureRow& row, const std::string& doc,
-                            const std::string& label) {
-  EXPECT_EQ(JsonWriter::FormatDouble(row.none_hops),
-            GoldenField(doc, label, "none_hops"))
-      << label;
-  EXPECT_EQ(JsonWriter::FormatDouble(row.oblivious_hops),
-            GoldenField(doc, label, "oblivious_hops"))
-      << label;
-  EXPECT_EQ(JsonWriter::FormatDouble(row.optimal_hops),
-            GoldenField(doc, label, "optimal_hops"))
-      << label;
-  EXPECT_EQ(JsonWriter::FormatDouble(row.improvement_pct),
-            GoldenField(doc, label, "improvement_pct"))
-      << label;
-  EXPECT_EQ(JsonWriter::FormatDouble(row.improvement_vs_none_pct),
-            GoldenField(doc, label, "improvement_vs_none_pct"))
-      << label;
-  EXPECT_EQ(JsonWriter::FormatDouble(row.success_rate),
-            GoldenField(doc, label, "success_rate"))
-      << label;
-}
+std::string Quoted(const std::string& text) { return "\"" + text + "\""; }
 
-/// The committed figures were generated with --seeds 2 --seed 1 (non-quick
-/// workloads: 300 warmup / 200 measured queries per node).
+/// The committed documents were generated with --seeds 2 --seed 1 and
+/// non-quick workloads (300 warmup / 200 measured queries per node).
 BenchArgs GoldenArgs(int threads) {
   BenchArgs args;
   args.seeds = 2;
@@ -86,168 +74,103 @@ BenchArgs GoldenArgs(int threads) {
   return args;
 }
 
+// Every row of every figure, in order, carries the label, mode, paper
+// reference and config its committed document records. Nothing runs: the
+// configs are those of results/regenerate.sh's flags, threads 0 included.
+TEST(GoldenFigureDefinitions, EveryRowMatchesItsCommittedDocument) {
+  for (const auto& [define, document] : kCommittedFigures) {
+    SCOPED_TRACE(document);
+    const Figure figure = define(GoldenArgs(0));
+    const std::string doc = ReadGolden(document);
+    size_t pos = 0;
+    EXPECT_EQ(NextValue(doc, "generator", pos), Quoted(figure.generator));
+    EXPECT_EQ(NextValue(doc, "system", pos), Quoted(figure.policy.system));
+    size_t rows = 0;
+    for (const FigureSection& section : figure.sections) {
+      for (const FigureRowSpec& row : section.rows) {
+        SCOPED_TRACE(row.label);
+        ++rows;
+        EXPECT_EQ(NextValue(doc, "label", pos), Quoted(row.label));
+        EXPECT_EQ(NextValue(doc, "mode", pos), Quoted(row.mode()));
+        JsonWriter config;
+        experiments::WriteConfigJson(config, row.config);
+        EXPECT_EQ(NextValue(doc, "config", pos), config.TakeString());
+        EXPECT_EQ(NextValue(doc, "paper_reference", pos),
+                  Quoted(row.paper_reference));
+      }
+    }
+    EXPECT_EQ(NextValue(doc, "label", pos), "<label not found>")
+        << "the document has more than the " << rows << " defined rows";
+  }
+}
+
+/// Asserts that every deterministic figure column of `row` renders to the
+/// byte-exact string committed in `doc`'s row labeled `row.label`. The row
+/// columns precede the row's nested "detail" document.
+void ExpectRowMatchesGolden(const FigureRow& row, const std::string& doc) {
+  const size_t at = doc.find("\"label\":" + Quoted(row.label));
+  ASSERT_NE(at, std::string::npos) << row.label;
+  const std::pair<const char*, double> columns[] = {
+      {"none_hops", row.none_hops},
+      {"oblivious_hops", row.oblivious_hops},
+      {"optimal_hops", row.optimal_hops},
+      {"improvement_pct", row.improvement_pct},
+      {"improvement_vs_none_pct", row.improvement_vs_none_pct},
+      {"success_rate", row.success_rate}};
+  for (const auto& [key, value] : columns) {
+    size_t pos = at;
+    EXPECT_EQ(JsonWriter::FormatDouble(value), NextValue(doc, key, pos))
+        << row.label << " " << key;
+  }
+}
+
+/// Replays the rows labeled `labels` of the figure `define` builds from the
+/// committed documents' flags at `threads`, and checks them against
+/// `document`.
+void ReplayRows(FigureDefinition define, const char* document,
+                std::initializer_list<const char*> labels, int threads) {
+  const BenchArgs args = GoldenArgs(threads);
+  const Figure figure = define(args);
+  const std::string doc = ReadGolden(document);
+  for (const char* label : labels) {
+    const FigureRowSpec* spec = nullptr;
+    for (const FigureSection& section : figure.sections) {
+      for (const FigureRowSpec& row : section.rows) {
+        if (row.label == label) spec = &row;
+      }
+    }
+    ASSERT_NE(spec, nullptr) << "no row labeled " << label;
+    ExpectRowMatchesGolden(RunFigureRow(figure, *spec, args), doc);
+  }
+}
+
 class GoldenFigures : public ::testing::TestWithParam<int> {};
 
-// Figure 3 row n=256, alpha=1.2 (Pastry stable, identical ranking).
 TEST_P(GoldenFigures, Fig3PastryN256) {
-  const std::string doc = ReadGolden("fig3.json");
-  const BenchArgs args = GoldenArgs(GetParam());
-  ExperimentConfig cfg;
-  cfg.n_nodes = 256;
-  cfg.k = 8;
-  cfg.alpha = 1.2;
-  cfg.n_items = 256;
-  cfg.n_popularity_lists = 1;
-  cfg.warmup_queries_per_node = 300;
-  cfg.measure_queries_per_node = 200;
-  cfg.threads = args.threads;
-  FigureRow row = AveragedRow(
-      args,
-      [&](uint64_t seed) {
-        cfg.seed = seed;
-        return CompareStable<PastryPolicy>(cfg);
-      },
-      "n=256 alpha=1.2", "");
-  ExpectRowMatchesGolden(row, doc, "n=256   alpha=1.20");
+  ReplayRows(Fig3PastryVaryN, "fig3.json", {"n=256   alpha=1.20"}, GetParam());
 }
 
-// Figure 4 row k=10, alpha=1.2 (Pastry stable, n=1024).
 TEST_P(GoldenFigures, Fig4PastryK10) {
-  const std::string doc = ReadGolden("fig4.json");
-  const BenchArgs args = GoldenArgs(GetParam());
-  ExperimentConfig cfg;
-  cfg.n_nodes = 1024;
-  cfg.k = 10;
-  cfg.alpha = 1.2;
-  cfg.n_items = 1024;
-  cfg.n_popularity_lists = 1;
-  cfg.warmup_queries_per_node = 300;
-  cfg.measure_queries_per_node = 200;
-  cfg.threads = args.threads;
-  FigureRow row = AveragedRow(
-      args,
-      [&](uint64_t seed) {
-        cfg.seed = seed;
-        return CompareStable<PastryPolicy>(cfg);
-      },
-      "k=10", "");
-  ExpectRowMatchesGolden(row, doc, "k=1logn=10  a=1.20");
+  ReplayRows(Fig4PastryVaryK, "fig4.json", {"k=1logn=10  a=1.20"}, GetParam());
 }
 
-// Figure 5 rows n=128 stable and n=128 churn (Chord, 5 popularity lists).
 TEST_P(GoldenFigures, Fig5ChordN128StableAndChurn) {
-  const std::string doc = ReadGolden("fig5.json");
-  const BenchArgs args = GoldenArgs(GetParam());
-  ExperimentConfig cfg;
-  cfg.n_nodes = 128;
-  cfg.k = CeilLog2(uint64_t{128});
-  cfg.alpha = 1.2;
-  cfg.n_items = 128;
-  cfg.n_popularity_lists = 5;
-  cfg.warmup_queries_per_node = 300;
-  cfg.measure_queries_per_node = 200;
-  cfg.threads = args.threads;
-  FigureRow stable = AveragedRow(
-      args,
-      [&](uint64_t seed) {
-        cfg.seed = seed;
-        return CompareStable<ChordPolicy>(cfg);
-      },
-      "n=128 stable", "");
-  ExpectRowMatchesGolden(stable, doc, "n=128   stable");
-
-  FigureRow churn_row = AveragedRow(
-      args,
-      [&](uint64_t seed) {
-        cfg.seed = seed;
-        ChurnConfig churn;  // the figure's parameters
-        churn.warmup_s = 3600;
-        churn.measure_s = 3600;
-        return CompareChurn<ChordPolicy>(cfg, churn);
-      },
-      "n=128 churn", "");
-  ExpectRowMatchesGolden(churn_row, doc, "n=128   churn");
+  ReplayRows(Fig5ChordVaryN, "fig5.json", {"n=128   stable", "n=128   churn"},
+             GetParam());
 }
 
-// Figure 6 row k=10 stable (Chord, n=1024, 5 popularity lists).
 TEST_P(GoldenFigures, Fig6ChordK10Stable) {
-  const std::string doc = ReadGolden("fig6.json");
-  const BenchArgs args = GoldenArgs(GetParam());
-  ExperimentConfig cfg;
-  cfg.n_nodes = 1024;
-  cfg.k = 10;
-  cfg.alpha = 1.2;
-  cfg.n_items = 1024;
-  cfg.n_popularity_lists = 5;
-  cfg.warmup_queries_per_node = 300;
-  cfg.measure_queries_per_node = 200;
-  cfg.threads = args.threads;
-  FigureRow row = AveragedRow(
-      args,
-      [&](uint64_t seed) {
-        cfg.seed = seed;
-        return CompareStable<ChordPolicy>(cfg);
-      },
-      "k=10", "");
-  ExpectRowMatchesGolden(row, doc, "k=1logn=10  stable");
+  ReplayRows(Fig6ChordVaryK, "fig6.json", {"k=1logn=10  stable"}, GetParam());
 }
 
-// Kademlia sweep rows n=128 stable and n=128 churn.
 TEST_P(GoldenFigures, KademliaVaryN128StableAndChurn) {
-  const std::string doc = ReadGolden("kademlia_vary_n.json");
-  const BenchArgs args = GoldenArgs(GetParam());
-  ExperimentConfig cfg;
-  cfg.n_nodes = 128;
-  cfg.k = CeilLog2(uint64_t{128});
-  cfg.alpha = 1.2;
-  cfg.n_items = 128;
-  cfg.n_popularity_lists = 1;
-  cfg.warmup_queries_per_node = 300;
-  cfg.measure_queries_per_node = 200;
-  cfg.threads = args.threads;
-  FigureRow stable = AveragedRow(
-      args,
-      [&](uint64_t seed) {
-        cfg.seed = seed;
-        return CompareStable<KademliaPolicy>(cfg);
-      },
-      "n=128 stable", "");
-  ExpectRowMatchesGolden(stable, doc, "n=128   stable");
-
-  FigureRow churn_row = AveragedRow(
-      args,
-      [&](uint64_t seed) {
-        cfg.seed = seed;
-        ChurnConfig churn;  // the sweep's parameters
-        churn.warmup_s = 3600;
-        churn.measure_s = 3600;
-        return CompareChurn<KademliaPolicy>(cfg, churn);
-      },
-      "n=128 churn", "");
-  ExpectRowMatchesGolden(churn_row, doc, "n=128   churn");
+  ReplayRows(KademliaVaryN, "kademlia_vary_n.json",
+             {"n=128   stable", "n=128   churn"}, GetParam());
 }
 
-// Kademlia budget sweep row k=10 stable (n=1024).
 TEST_P(GoldenFigures, KademliaVaryKK10Stable) {
-  const std::string doc = ReadGolden("kademlia_vary_k.json");
-  const BenchArgs args = GoldenArgs(GetParam());
-  ExperimentConfig cfg;
-  cfg.n_nodes = 1024;
-  cfg.k = 10;
-  cfg.alpha = 1.2;
-  cfg.n_items = 1024;
-  cfg.n_popularity_lists = 1;
-  cfg.warmup_queries_per_node = 300;
-  cfg.measure_queries_per_node = 200;
-  cfg.threads = args.threads;
-  FigureRow row = AveragedRow(
-      args,
-      [&](uint64_t seed) {
-        cfg.seed = seed;
-        return CompareStable<KademliaPolicy>(cfg);
-      },
-      "k=10", "");
-  ExpectRowMatchesGolden(row, doc, "k=1logn=10  stable");
+  ReplayRows(KademliaVaryK, "kademlia_vary_k.json", {"k=1logn=10  stable"},
+             GetParam());
 }
 
 // The figure harnesses build every row's config through ApplyObservability,
@@ -272,4 +195,4 @@ INSTANTIATE_TEST_SUITE_P(Threads, GoldenFigures, ::testing::Values(1, 4),
                          });
 
 }  // namespace
-}  // namespace peercache::experiments
+}  // namespace peercache::bench

@@ -235,6 +235,80 @@ std::string Hex(const std::vector<uint8_t>& bytes, size_t from, size_t len) {
   return out;
 }
 
+// A live file has one writer: a second Create must not truncate it under
+// its owner and a second Open must not interleave writes with the owner's,
+// even inside one process (every actor of a cluster shares one).
+TEST(PeerCacheTest, LiveFileRefusesASecondWriter) {
+  const std::string path = TempPath("locked");
+  PeerCacheConfig config;
+  config.slot_count = 64;
+  std::vector<PeerRecord> records;
+  for (uint64_t id = 1; id <= 5; ++id) records.push_back(MakeRecord(id, 3, 4));
+  {
+    auto owner = PeerCache::Create(path, config);
+    ASSERT_TRUE(owner.ok()) << owner.status();
+    for (const PeerRecord& rec : records) ASSERT_TRUE(owner->Put(rec).ok());
+    ASSERT_TRUE(owner->Sync().ok());
+
+    auto second_create = PeerCache::Create(path, config);
+    ASSERT_FALSE(second_create.ok());
+    EXPECT_EQ(second_create.status().code(), StatusCode::kFailedPrecondition);
+    auto second_open = PeerCache::Open(path);
+    ASSERT_FALSE(second_open.ok());
+    EXPECT_EQ(second_open.status().code(), StatusCode::kFailedPrecondition);
+
+    for (const PeerRecord& rec : records) {
+      PeerRecord back;
+      ASSERT_TRUE(owner->Get(rec.node_id, back)) << rec.node_id;
+      EXPECT_EQ(back, rec);
+    }
+    ASSERT_TRUE(owner->Put(MakeRecord(6, 1, 1)).ok());
+  }
+  // The refused Create truncated nothing: every record is still on disk.
+  auto reopened = PeerCache::Open(path);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ(reopened->size(), records.size() + 1);
+  for (const PeerRecord& rec : records) {
+    PeerRecord back;
+    ASSERT_TRUE(reopened->Get(rec.node_id, back)) << rec.node_id;
+    EXPECT_EQ(back, rec);
+  }
+  std::remove(path.c_str());
+}
+
+// A file left by a closed writer stays re-creatable and re-openable, and
+// Create over it starts empty at its own geometry.
+TEST(PeerCacheTest, ClosedFileReopensAndRecreates) {
+  const std::string path = TempPath("released");
+  PeerCacheConfig big;
+  big.slot_count = 64;
+  {
+    auto cache = PeerCache::Create(path, big);
+    ASSERT_TRUE(cache.ok()) << cache.status();
+    for (uint64_t id = 1; id <= 20; ++id) {
+      ASSERT_TRUE(cache->Put(MakeRecord(id, 2, 2)).ok());
+    }
+  }
+  {
+    auto reopened = PeerCache::Open(path);
+    ASSERT_TRUE(reopened.ok()) << reopened.status();
+    EXPECT_EQ(reopened->size(), 20u);
+  }
+  PeerCacheConfig small;
+  small.slot_count = 8;
+  {
+    auto recreated = PeerCache::Create(path, small);
+    ASSERT_TRUE(recreated.ok()) << recreated.status();
+    EXPECT_EQ(recreated->size(), 0u);
+  }
+  auto reopened = PeerCache::Open(path);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ(reopened->config().slot_count, 8u);
+  EXPECT_EQ(reopened->size(), 0u);
+  EXPECT_EQ(reopened->stats().rejected, 0u);
+  std::remove(path.c_str());
+}
+
 // Pins the cache-file format: the header and both used slots of a small
 // file, byte for byte. A faster encoder or CRC must reproduce them exactly.
 TEST(PeerCacheTest, GoldenFileBytes) {
