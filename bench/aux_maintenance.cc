@@ -8,15 +8,18 @@
 //    (observed-frequency drift). Pastry pays O(b·k) per delta on the live
 //    gain tree; Chord refreshes the weight planes of its cached jump tables
 //    instead of rebuilding the ring geometry. This is the regime where
-//    incremental maintenance must beat the full rebuild at n >= 1024.
+//    incremental maintenance should beat the full rebuild at n >= 1024;
+//    the binary prints whether it does.
 //  * churn — joins, leaves, and periodic core-set replacement. Chord's
 //    structural deltas force plan rebuilds, so the two paths converge; the
 //    row demonstrates cost equality holds even when reuse degrades.
 //
 // Every round asserts the incremental cost equals the fresh selector's cost
-// (the engine's audit invariant); any mismatch fails the binary.
+// (the engine's audit invariant); any mismatch fails the binary. That is
+// the only exit gate: the speedup bar is printed, not enforced, because
+// timing ratios on a shared host are too noisy to gate on.
 //
-//   $ ./aux_maintenance                  # full sizes, bar enforced
+//   $ ./aux_maintenance                  # full sizes, bar printed
 //   $ ./aux_maintenance --quick --json-out aux.json
 
 #include <chrono>

@@ -75,7 +75,14 @@ struct BenchArgs {
   /// ones a driver's runs cannot honour) ends the process with status 2.
   static BenchArgs Parse(int argc, char** argv,
                          std::span<const std::string_view> refused = {}) {
-    BenchArgs args;
+    return Parse(argc, argv, refused, BenchArgs());
+  }
+
+  /// As above, over `args`, the driver's defaults: each given flag
+  /// overrides its own field.
+  static BenchArgs Parse(int argc, char** argv,
+                         std::span<const std::string_view> refused,
+                         BenchArgs args) {
     for (int i = 1; i < argc; ++i) {
       for (std::string_view prefix : refused) {
         if (std::string_view(argv[i]).starts_with(prefix)) {
@@ -188,12 +195,18 @@ struct BenchArgs {
   }
 };
 
-/// The shared flags that shape lookup runs: seed averaging, the thread
-/// pool, the fault plan, the latency model, route traces and the profiler.
-/// Drivers that run no lookup experiment refuse them.
+/// The shared flags that shape lookup runs: the thread pool, seed
+/// averaging, the fault plan, the latency model, route traces and the
+/// profiler. Drivers that run no lookup experiment refuse them.
 inline constexpr std::string_view kLookupRunFlags[] = {
-    "--seeds", "--threads", "--fault-", "--no-fault-retries",
+    "--threads", "--seeds", "--fault-", "--no-fault-retries",
     "--latency-", "--trace-", "--profile"};
+
+/// kLookupRunFlags without `--threads`: refused by the sweep drivers that
+/// shard their own work over a thread pool but apply none of the other
+/// lookup-run knobs (freq_sketch, scale_frontier).
+inline constexpr std::span<const std::string_view> kLookupRunFlagsButThreads =
+    std::span(kLookupRunFlags).subspan(1);
 
 /// One row of a figure table. Two improvement columns are reported:
 ///  * `improvement_pct`, the paper's metric (vs the frequency-oblivious

@@ -236,6 +236,25 @@ std::vector<std::pair<uint64_t, uint64_t>> FrequencyPairs(
   return out;
 }
 
+/// The runtime's deterministic network conditions, seeded from the run's
+/// seed: a light fault plan (so routes exercise retries and stale-entry
+/// eviction during the outage) and the latency model that doubles as the
+/// bus delivery clock. The shared fault and latency flags override these
+/// field by field.
+bench::BenchArgs DefaultNetworkConditions(uint64_t seed) {
+  bench::BenchArgs args;
+  args.faults.drop_prob = 0.02;
+  args.faults.stale_prob = 0.5;
+  args.faults.max_retries = 4;
+  args.faults.seed = SplitSeed(seed, 0x666c74);  // "flt"
+  args.latency.base_rtt_ms = 12.0;
+  args.latency.coord_scale_ms = 40.0;
+  args.latency.jitter_ms = 3.0;
+  args.latency.timeout_ms = 50.0;
+  args.latency.seed = SplitSeed(seed, 0x6c6174);  // "lat"
+  return args;
+}
+
 /// The run: build + warmup + select + persist, three lookup rounds around a
 /// crash/restart cycle, recovery audit, JSON document. Returns false when an
 /// exit gate failed.
@@ -325,27 +344,10 @@ bool RunCluster(const bench::BenchArgs& bench_args, const ClusterArgs& cargs,
   }
   const double warmup_seconds = Seconds(t_warm);
 
-  // The runtime's deterministic network conditions: a light fault plan (so
-  // routes exercise retries and stale-entry eviction during the outage) and
-  // the latency model that doubles as the bus delivery clock. Command-line
-  // fault/latency knobs override the defaults.
-  fault::FaultConfig fault_config = bench_args.faults;
-  if (!fault::FaultPlan(fault_config).enabled()) {
-    fault_config.drop_prob = 0.02;
-    fault_config.stale_prob = 0.5;
-    fault_config.max_retries = 4;
-    fault_config.seed = SplitSeed(config.seed, 0x666c74);  // "flt"
-  }
-  const fault::FaultPlan faults(fault_config);
-  latency::LatencyConfig latency_config = bench_args.latency;
-  if (!latency::LatencyModel(latency_config).enabled()) {
-    latency_config.base_rtt_ms = 12.0;
-    latency_config.coord_scale_ms = 40.0;
-    latency_config.jitter_ms = 3.0;
-    latency_config.timeout_ms = 50.0;
-    latency_config.seed = SplitSeed(config.seed, 0x6c6174);  // "lat"
-  }
-  const latency::LatencyModel latency(latency_config);
+  // The fault plan and latency model: DefaultNetworkConditions with the
+  // command line's fault and latency flags applied over it.
+  const fault::FaultPlan faults(bench_args.faults);
+  const latency::LatencyModel latency(bench_args.latency);
 
   const size_t lookups_per_round =
       cargs.lookups > 0 ? static_cast<size_t>(cargs.lookups) : ids.size();
@@ -515,11 +517,11 @@ bool RunCluster(const bench::BenchArgs& bench_args, const ClusterArgs& cargs,
   w.Key("kill_fraction");
   w.Double(cargs.kill_frac);
   w.Key("fault_drop");
-  w.Double(fault_config.drop_prob);
+  w.Double(bench_args.faults.drop_prob);
   w.Key("fault_stale");
-  w.Double(fault_config.stale_prob);
+  w.Double(bench_args.faults.stale_prob);
   w.Key("latency_base_ms");
-  w.Double(latency_config.base_rtt_ms);
+  w.Double(bench_args.latency.base_rtt_ms);
   w.Key("cache_slots");
   w.UInt(cache_config.slot_count);
   w.Key("cache_aux_capacity");
@@ -643,8 +645,14 @@ int main(int argc, char** argv) {
   // One seed per run, no route traces, no ping matrix and no profile block.
   constexpr std::string_view kRefused[] = {"--seeds", "--trace-",
                                            "--latency-matrix", "--profile"};
+  const int rest_argc = static_cast<int>(rest.size());
+  // The default network conditions derive their seeds from --seed, so read
+  // that first; every given fault or latency flag then overrides its own
+  // field of those defaults.
+  const uint64_t seed =
+      bench::BenchArgs::Parse(rest_argc, rest.data(), kRefused).base_seed;
   bench::BenchArgs args = bench::BenchArgs::Parse(
-      static_cast<int>(rest.size()), rest.data(), kRefused);
+      rest_argc, rest.data(), kRefused, DefaultNetworkConditions(seed));
   if (args.quick && cargs.n == 10000) cargs.n = 1000;
   // A kill fraction of 1 would leave the outage round no origin to draw.
   if (!(cargs.kill_frac >= 0.0 && cargs.kill_frac < 1.0)) {

@@ -17,7 +17,9 @@
 // `--threads T` shards the per-node phases; every reported field except
 // the "timing" sub-object is identical at any thread count
 // (tests/experiments/freq_sketch_golden_test.cc replays the committed
-// stable rows at threads 1 and 4).
+// stable rows at threads 1 and 4). The other lookup-run flags (`--seeds`,
+// `--fault-*`, `--latency-*`, `--trace-*`, `--profile`) are refused with
+// exit status 2: the sweep's runs apply none of them.
 //
 // The run enforces the headline acceptance gates at generation time: on
 // every overlay the headline tier must fit in 1/16 of the exact per-node
@@ -183,7 +185,8 @@ bool SweepSystem(const BenchArgs& args, std::vector<FreqSketchRow>& rows) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = BenchArgs::Parse(argc, argv);
+  const BenchArgs args =
+      BenchArgs::Parse(argc, argv, kLookupRunFlagsButThreads);
 
   std::printf(
       "freq sketch sweep: n=%d, items=%zu, lists=%d, warmup=%d, measure=%d, "

@@ -17,7 +17,9 @@
 // `--threads T` shards the batched pass's job list across T workers
 // (0 = all hardware threads, 1 = serial); per-job results land in global
 // job order, so every reported field except the "timing" sub-object is
-// identical at any thread count.
+// identical at any thread count. The other lookup-run flags (`--seeds`,
+// `--fault-*`, `--latency-*`, `--trace-*`, `--profile`) are refused with
+// exit status 2: the sweep's lookups apply none of them.
 
 #include <cstdint>
 #include <cstdio>
@@ -107,7 +109,7 @@ void SweepSystem(const std::vector<int>& exps, uint64_t lookups,
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchArgs args = BenchArgs::Parse(argc, argv);
+  BenchArgs args = BenchArgs::Parse(argc, argv, kLookupRunFlagsButThreads);
   const std::vector<int> exps =
       args.quick ? std::vector<int>{16} : std::vector<int>{14, 16, 18, 20};
   const uint64_t lookups = args.quick ? uint64_t{1} << 15 : uint64_t{1} << 17;

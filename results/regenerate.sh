@@ -23,7 +23,7 @@ cmake --build "$build" -j"$(nproc)" --target \
   fig3_pastry_vary_n fig4_pastry_vary_k fig5_chord_vary_n fig6_chord_vary_k \
   kademlia_vary_n kademlia_vary_k freq_sketch latency_percentiles \
   scale_frontier fault_resilience cluster_runtime ablation_topn \
-  ablation_items ablation_qos
+  ablation_items ablation_qos ablation_strategies
 
 # Figure sweeps (paper Figs. 3-6 and the Kademlia companions): 2 seeds.
 for pair in fig3_pastry_vary_n:fig3 fig4_pastry_vary_k:fig4 \
@@ -43,6 +43,6 @@ trap 'rm -rf "$tmp"' EXIT
   --json-out "$out/cluster_runtime.json"
 
 # The ablation tables are what the ablation binaries print.
-for ablation in topn items qos; do
+for ablation in topn items qos strategies; do
   "$bench/ablation_$ablation" > "$out/ablation_$ablation.txt"
 done

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
+#include <utility>
 
 #include "common/bits.h"
 #include "common/ring_id.h"
@@ -27,51 +27,35 @@ double ChordInstance::SlowS(int j, int m) const {
 }
 
 Result<ChordInstance> BuildChordInstance(const SelectionInput& input) {
-  if (Status s = ValidateInput(input); !s.ok()) return s;
+  auto view_r = SortedView(input);
+  if (!view_r.ok()) return view_r.status();
+  std::vector<ViewEntry> ring = std::move(view_r).value();
+  // The ids above self, then the ids below it, both ascending: the
+  // clockwise order from self.
+  std::rotate(ring.begin(),
+              std::upper_bound(ring.begin(), ring.end(), input.self_id,
+                               [](uint64_t id, const ViewEntry& e) {
+                                 return id < e.id;
+                               }),
+              ring.end());
   IdSpace space(input.bits);
-
-  // Merge peers and cores into successor records keyed by shifted id.
-  struct Rec {
-    uint64_t orig;
-    double freq = 0;
-    int delay_bound = -1;
-    bool is_core = false;
-  };
-  std::unordered_map<uint64_t, Rec> by_shifted;
-  by_shifted.reserve(input.peers.size() * 2);
-  for (const PeerFreq& p : input.peers) {
-    uint64_t sid = space.ClockwiseDistance(input.self_id, p.id);
-    by_shifted.emplace(sid, Rec{p.id, p.frequency, p.delay_bound, false});
-  }
-  for (uint64_t c : input.core_ids) {
-    if (c == input.self_id) continue;
-    uint64_t sid = space.ClockwiseDistance(input.self_id, c);
-    auto [it, inserted] = by_shifted.emplace(sid, Rec{c, 0.0, -1, true});
-    if (!inserted) it->second.is_core = true;
-  }
 
   ChordInstance inst;
   inst.bits = input.bits;
-  inst.n = static_cast<int>(by_shifted.size());
+  inst.n = static_cast<int>(ring.size());
   const size_t sz = static_cast<size_t>(inst.n) + 1;
   inst.ids.assign(sz, 0);
   inst.orig_id.assign(sz, 0);
   inst.freq.assign(sz, 0);
   inst.delay_bound.assign(sz, -1);
   inst.is_core.assign(sz, false);
-
-  std::vector<uint64_t> order;
-  order.reserve(by_shifted.size());
-  for (const auto& [sid, rec] : by_shifted) order.push_back(sid);
-  std::sort(order.begin(), order.end());
-
-  for (int l = 1; l <= inst.n; ++l) {
-    const Rec& rec = by_shifted.at(order[static_cast<size_t>(l - 1)]);
-    inst.ids[static_cast<size_t>(l)] = order[static_cast<size_t>(l - 1)];
-    inst.orig_id[static_cast<size_t>(l)] = rec.orig;
-    inst.freq[static_cast<size_t>(l)] = rec.freq;
-    inst.delay_bound[static_cast<size_t>(l)] = rec.delay_bound;
-    inst.is_core[static_cast<size_t>(l)] = rec.is_core;
+  for (size_t l = 1; l < sz; ++l) {
+    const ViewEntry& e = ring[l - 1];
+    inst.ids[l] = space.ClockwiseDistance(input.self_id, e.id);
+    inst.orig_id[l] = e.id;
+    inst.freq[l] = e.frequency;
+    inst.delay_bound[l] = e.delay_bound;
+    inst.is_core[l] = e.is_core;
   }
 
   // Prefix sums and core-service tables.
@@ -79,6 +63,7 @@ Result<ChordInstance> BuildChordInstance(const SelectionInput& input) {
   inst.core_serve.assign(sz, 0);
   inst.B.assign(sz, 0);
   inst.next_core.assign(sz + 1, inst.n + 1);
+  inst.candidates_upto.assign(sz, 0);
   int last_core = 0;  // 0 = none yet
   for (int l = 1; l <= inst.n; ++l) {
     const size_t ul = static_cast<size_t>(l);
@@ -88,6 +73,7 @@ Result<ChordInstance> BuildChordInstance(const SelectionInput& input) {
         (last_core == 0) ? inst.bits : inst.Hop(last_core, l);
     inst.B[ul] = inst.B[ul - 1] + inst.freq[ul] * inst.core_serve[ul];
     if (!inst.is_core[ul]) inst.candidates.push_back(l);
+    inst.candidates_upto[ul] = static_cast<int>(inst.candidates.size());
   }
   for (int j = inst.n - 1; j >= 0; --j) {
     const size_t uj = static_cast<size_t>(j);

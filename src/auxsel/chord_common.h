@@ -35,6 +35,9 @@ struct ChordInstance {
   std::vector<int> next_core;
   /// Candidate (non-core) successor indices, ascending.
   std::vector<int> candidates;
+  /// candidates_upto[m] = number of candidates <= m, m in 0..n; a
+  /// candidate j is candidates[candidates_upto[j] - 1].
+  std::vector<int> candidates_upto;
 
   /// Clockwise hop estimate from successor j to successor m (j <= m):
   /// bitlen(ids[m] - ids[j]).
@@ -46,7 +49,8 @@ struct ChordInstance {
   double SlowS(int j, int m) const;
 };
 
-/// Builds the instance from a validated input. O(n log n).
+/// Builds the instance from the input's SortedView rotated at self_id, which
+/// is the clockwise order: one O(n log n) sort, then O(n).
 Result<ChordInstance> BuildChordInstance(const SelectionInput& input);
 
 /// Reconstructs a Selection from chosen successor indices.

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "auxsel/chord_common.h"
 #include "common/bits.h"
-#include "common/ring_id.h"
 
 namespace peercache::auxsel {
 
@@ -40,9 +40,8 @@ class LayerSolver {
     const int mid = mlo + (mhi - mlo) / 2;
     // Eligible candidate positions for row mid: cand[p] <= mid.
     const auto& cand = inst_.candidates;
-    int ub = static_cast<int>(
-        std::upper_bound(cand.begin(), cand.end(), mid) - cand.begin());
-    const int hi = std::min(phi, ub - 1);
+    const int hi = std::min(
+        phi, inst_.candidates_upto[static_cast<size_t>(mid)] - 1);
     double best = kInf;
     int best_p = -1;
     for (int p = plo; p <= hi; ++p) {
@@ -77,9 +76,10 @@ double ChordFastPlan::S(int j, int m) const {
   const int limit = std::min(m, nc - 1);
   double s = 0;
   if (limit > j) {
-    const int row = cand_row_[static_cast<size_t>(j)];
-    assert(row >= 0);
-    const size_t base = static_cast<size_t>(row) * stride_;
+    assert(!inst_.is_core[static_cast<size_t>(j)]);
+    const size_t base =
+        static_cast<size_t>(inst_.candidates_upto[static_cast<size_t>(j)] - 1) *
+        stride_;
     const int dl = inst_.Hop(j, limit);
     assert(dl >= 1);
     const int pprev = p_[base + static_cast<size_t>(dl - 1)];
@@ -93,26 +93,26 @@ double ChordFastPlan::S(int j, int m) const {
   return s;
 }
 
-void ChordFastPlan::BuildRow(size_t row, int j) {
+void ChordFastPlan::BuildRow(size_t row, int j, std::vector<int>& reach) {
   const size_t base = row * stride_;
   const uint64_t idj = inst_.ids[static_cast<size_t>(j)];
   p_[base] = j;  // p_j(0): only j itself is within hop 0
   w_[base] = 0.0;
   int prev_p = j;
   for (int r = 1; r <= inst_.bits; ++r) {
-    // Largest successor index l with ids[l] - idj <= 2^r - 1; ids are
-    // ascending so binary search over [prev_p, n].
+    // Largest successor index l with ids[l] - idj <= 2^r - 1. The previous
+    // candidate's p(r) and this row's p_j(r - 1) are both lower bounds, so
+    // the pointer only moves forward.
     const uint64_t limit_id = idj + LowBitMask(r);  // may wrap; see below
-    int l;
+    int& l = reach[static_cast<size_t>(r)];
+    l = std::max(l, prev_p);
     if (limit_id < idj) {
       // 2^r - 1 overflows past the top of the id space: everything fits.
       l = inst_.n;
     } else {
-      auto first = inst_.ids.begin() + prev_p;
-      auto last = inst_.ids.begin() + inst_.n + 1;
-      l = static_cast<int>(std::upper_bound(first, last, limit_id) -
-                           inst_.ids.begin()) -
-          1;
+      while (l < inst_.n && inst_.ids[static_cast<size_t>(l) + 1] <= limit_id) {
+        ++l;
+      }
     }
     p_[base + static_cast<size_t>(r)] = l;
     w_[base + static_cast<size_t>(r)] =
@@ -124,8 +124,7 @@ void ChordFastPlan::BuildRow(size_t row, int j) {
 }
 
 void ChordFastPlan::RefreshRow(size_t row, int j) {
-  // Same recurrence as BuildRow, but over the stored jump pointers — no
-  // binary searches.
+  // Same recurrence as BuildRow, over the stored jump pointers.
   const size_t base = row * stride_;
   w_[base] = 0.0;
   int prev_p = j;
@@ -149,68 +148,38 @@ Result<ChordFastPlan> ChordFastPlan::Build(const SelectionInput& input) {
   const size_t rows = inst.candidates.size();
   plan.p_.assign(rows * plan.stride_, 0);
   plan.w_.assign(rows * plan.stride_, 0.0);
-  plan.cand_row_.assign(static_cast<size_t>(inst.n) + 1, -1);
+  // p_j(r) is the farthest successor in the arc [id_j, id_j + 2^r), which
+  // slides clockwise as j grows, so p_j(r) never decreases in j: one
+  // pointer per r sweeps the successors once over all rows.
+  std::vector<int> reach(plan.stride_, 0);
   for (size_t row = 0; row < rows; ++row) {
-    const int j = inst.candidates[row];
-    plan.cand_row_[static_cast<size_t>(j)] = static_cast<int>(row);
-    plan.BuildRow(row, j);
+    plan.BuildRow(row, inst.candidates[row], reach);
   }
   return plan;
 }
 
 Status ChordFastPlan::RefreshWeights(const SelectionInput& input) {
-  if (Status s = ValidateInput(input); !s.ok()) return s;
-  IdSpace space(input.bits);
   if (input.bits != inst_.bits) {
     return Status::InvalidArgument("plan built for different id space");
   }
-  const size_t sz = static_cast<size_t>(inst_.n) + 1;
-  std::vector<double> freq(sz, 0.0);
-  std::vector<int> delay_bound(sz, -1);
-  // Every successor must be re-derivable from the input (same support set,
-  // same core flags), otherwise the geometry is stale.
-  std::vector<char> touched(sz, 0);
-  auto position_of = [&](uint64_t orig) -> int {
-    const uint64_t sid = space.ClockwiseDistance(input.self_id, orig);
-    auto it = std::lower_bound(inst_.ids.begin() + 1, inst_.ids.end(), sid);
-    if (it == inst_.ids.end() || *it != sid) return -1;
-    return static_cast<int>(it - inst_.ids.begin());
-  };
-  for (const PeerFreq& p : input.peers) {
-    const int pos = position_of(p.id);
-    if (pos < 0) return Status::InvalidArgument("peer not in plan membership");
-    freq[static_cast<size_t>(pos)] = p.frequency;
-    delay_bound[static_cast<size_t>(pos)] = p.delay_bound;
-    touched[static_cast<size_t>(pos)] = 1;
+  // The plan's successors are the view rotated at self: same ids, same core
+  // flags, in the same clockwise order. Anything else makes the geometry
+  // stale.
+  auto inst_r = BuildChordInstance(input);
+  if (!inst_r.ok()) return inst_r.status();
+  ChordInstance fresh = std::move(inst_r).value();
+  if (fresh.orig_id != inst_.orig_id || fresh.is_core != inst_.is_core) {
+    return Status::InvalidArgument("membership or core set differs from plan");
   }
-  for (uint64_t c : input.core_ids) {
-    if (c == input.self_id) continue;
-    const int pos = position_of(c);
-    if (pos < 0 || !inst_.is_core[static_cast<size_t>(pos)]) {
-      return Status::InvalidArgument("core set differs from plan membership");
-    }
-    touched[static_cast<size_t>(pos)] = 1;
-  }
-  for (int l = 1; l <= inst_.n; ++l) {
-    const size_t ul = static_cast<size_t>(l);
-    if (!touched[ul]) {
-      return Status::InvalidArgument("successor absent from refresh input");
-    }
-    // A successor promoted to / demoted from core keeps the same position
-    // but changes candidates/next_core — that is a structural rebuild.
-    if (!inst_.is_core[ul] && freq[ul] <= 0.0) {
+  for (int j : inst_.candidates) {
+    if (fresh.freq[static_cast<size_t>(j)] <= 0.0) {
       return Status::InvalidArgument("candidate lost its frequency");
     }
   }
-
-  inst_.freq = std::move(freq);
-  inst_.delay_bound = std::move(delay_bound);
-  for (int l = 1; l <= inst_.n; ++l) {
-    const size_t ul = static_cast<size_t>(l);
-    inst_.F[ul] = inst_.F[ul - 1] + inst_.freq[ul];
-    inst_.B[ul] = inst_.B[ul - 1] +
-                  inst_.freq[ul] * inst_.core_serve[ul];
-  }
+  inst_.freq = std::move(fresh.freq);
+  inst_.delay_bound = std::move(fresh.delay_bound);
+  inst_.F = std::move(fresh.F);
+  inst_.B = std::move(fresh.B);
   for (size_t row = 0; row < inst_.candidates.size(); ++row) {
     RefreshRow(row, inst_.candidates[row]);
   }

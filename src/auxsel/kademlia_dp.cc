@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -11,14 +10,6 @@
 namespace peercache::auxsel {
 
 namespace {
-
-/// One merged element of the instance: a peer (with its frequency), a core
-/// neighbor (possibly with no observed frequency), or both.
-struct Element {
-  uint64_t id = 0;
-  double frequency = 0.0;
-  bool is_core = false;
-};
 
 /// Per-budget optimum for one trie subtree under *exact*-j semantics:
 /// cost[j] is the minimal uncovered-subtree mass at or below this vertex
@@ -32,7 +23,8 @@ struct Table {
 
 class Solver {
  public:
-  Solver(std::vector<Element> elements, int bits, int k)
+  /// `elements` is the input's SortedView.
+  Solver(std::vector<ViewEntry> elements, int bits, int k)
       : elements_(std::move(elements)), bits_(bits), k_(k) {
     const size_t n = elements_.size();
     freq_prefix_.assign(n + 1, 0.0);
@@ -136,7 +128,7 @@ class Solver {
     return a;
   }
 
-  std::vector<Element> elements_;
+  std::vector<ViewEntry> elements_;
   int bits_;
   int k_;
   std::vector<double> freq_prefix_;
@@ -147,26 +139,10 @@ class Solver {
 }  // namespace
 
 Result<Selection> SelectKademliaDp(const SelectionInput& input) {
-  if (Status s = ValidateInput(input); !s.ok()) return s;
-  std::unordered_set<uint64_t> cores(input.core_ids.begin(),
-                                     input.core_ids.end());
-  std::vector<Element> elements;
-  elements.reserve(input.peers.size() + cores.size());
-  for (const PeerFreq& p : input.peers) {
-    elements.push_back({p.id, p.frequency, cores.count(p.id) > 0});
-  }
-  std::unordered_set<uint64_t> peer_ids;
-  peer_ids.reserve(input.peers.size() * 2);
-  for (const PeerFreq& p : input.peers) peer_ids.insert(p.id);
-  for (uint64_t c : cores) {
-    if (c == input.self_id || peer_ids.count(c)) continue;
-    elements.push_back({c, 0.0, true});
-  }
-  std::sort(elements.begin(), elements.end(),
-            [](const Element& a, const Element& b) { return a.id < b.id; });
-
+  auto view = SortedView(input);
+  if (!view.ok()) return view.status();
   Selection sel;
-  sel.chosen = Solver(std::move(elements), input.bits, input.k).Solve();
+  sel.chosen = Solver(std::move(view).value(), input.bits, input.k).Solve();
   sel.cost = EvaluateKademliaCost(input, sel.chosen);
   return sel;
 }

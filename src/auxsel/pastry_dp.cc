@@ -114,7 +114,6 @@ class PastryDpSolver {
 
 Result<Selection> SelectPastryDpImpl(const SelectionInput& input,
                                      bool honor_qos) {
-  if (Status s = ValidateInput(input); !s.ok()) return s;
   auto trie_r = BuildSelectionTrie(input);
   if (!trie_r.ok()) return trie_r.status();
   const trie::BinaryTrie& trie = trie_r.value();

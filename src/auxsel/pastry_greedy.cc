@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <utility>
 
 #include "auxsel/pastry_trie_builder.h"
 
@@ -17,17 +18,11 @@ PastryGainTree::PastryGainTree(int bits, int k) : trie_(bits), k_(k) {
 }
 
 Result<PastryGainTree> PastryGainTree::FromInput(const SelectionInput& input) {
-  if (Status s = ValidateInput(input); !s.ok()) return s;
+  auto trie_r = BuildSelectionTrie(input);
+  if (!trie_r.ok()) return trie_r.status();
   PastryGainTree tree(input.bits, input.k);
-  for (const PeerFreq& p : input.peers) {
-    if (Status s = tree.AddPeer(p.id, p.frequency); !s.ok()) return s;
-  }
-  for (uint64_t c : input.core_ids) {
-    if (c == input.self_id) continue;
-    Status s = tree.trie_.Contains(c) ? tree.SetCore(c, true)
-                                      : tree.AddPeer(c, 0.0, /*is_core=*/true);
-    if (!s.ok()) return s;
-  }
+  tree.trie_ = std::move(trie_r).value();
+  tree.RecomputeAll();
   return tree;
 }
 

@@ -36,7 +36,9 @@ class PastryGainTree {
   /// Creates an empty gain tree over `bits`-bit ids with pointer budget k.
   PastryGainTree(int bits, int k);
 
-  /// Convenience constructor state: populates from a validated input.
+  /// Builds the tree for an input: the bottom-up BuildSelectionTrie, then
+  /// every gain list once in post-order. O(n log n) for the sort, then
+  /// O(n·k). Fails as ValidateInput does.
   static Result<PastryGainTree> FromInput(const SelectionInput& input);
 
   int k() const { return k_; }
@@ -90,7 +92,7 @@ class PastryGainTree {
 
 /// One-shot greedy selection (paper Sec. IV-B): builds a gain tree from the
 /// input and reads off the top-k set. Guaranteed cost-equal to
-/// SelectPastryDp; O(n·k) plus trie construction.
+/// SelectPastryDp; O(n·k) after one O(n log n) sort.
 Result<Selection> SelectPastryGreedy(const SelectionInput& input);
 
 }  // namespace peercache::auxsel

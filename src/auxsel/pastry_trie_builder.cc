@@ -6,30 +6,19 @@
 namespace peercache::auxsel {
 
 Result<trie::BinaryTrie> BuildSelectionTrie(const SelectionInput& input) {
-  trie::BinaryTrie t(input.bits);
-  for (const PeerFreq& p : input.peers) {
+  auto view = SortedView(input);
+  if (!view.ok()) return view.status();
+  std::vector<trie::LeafInfo> leaves;
+  leaves.reserve(view->size());
+  for (const ViewEntry& e : view.value()) {
     trie::LeafInfo leaf;
-    leaf.id = p.id;
-    leaf.frequency = p.frequency;
-    leaf.delay_bound = p.delay_bound;
-    auto r = t.Insert(leaf);
-    if (!r.ok()) return r.status();
+    leaf.id = e.id;
+    leaf.frequency = e.frequency;
+    leaf.is_core = e.is_core;
+    leaf.delay_bound = e.delay_bound;
+    leaves.push_back(leaf);
   }
-  for (uint64_t c : input.core_ids) {
-    if (c == input.self_id) continue;
-    if (t.Contains(c)) {
-      auto r = t.SetCore(c, true);
-      if (!r.ok()) return r.status();
-    } else {
-      trie::LeafInfo leaf;
-      leaf.id = c;
-      leaf.frequency = 0.0;
-      leaf.is_core = true;
-      auto r = t.Insert(leaf);
-      if (!r.ok()) return r.status();
-    }
-  }
-  return t;
+  return trie::BinaryTrie::FromSortedLeaves(input.bits, leaves);
 }
 
 std::vector<int> QosConstraintVertices(const trie::BinaryTrie& trie,

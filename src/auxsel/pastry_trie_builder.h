@@ -8,9 +8,10 @@
 namespace peercache::auxsel {
 
 /// Builds the selection trie for a SelectionInput: every peer of V becomes a
-/// leaf with its frequency; every core neighbor becomes (or is flagged on) a
-/// leaf with is_core set. Core ids equal to self_id are ignored. The input
-/// must already have passed ValidateInput.
+/// leaf with its frequency and delay bound; every core neighbor becomes (or
+/// is flagged on) a leaf with is_core set. Core ids equal to self_id are
+/// ignored. Fails as ValidateInput does. Built bottom-up from the input's
+/// SortedView: one O(n log n) sort, then each vertex once.
 Result<trie::BinaryTrie> BuildSelectionTrie(const SelectionInput& input);
 
 /// Maps each QoS-constrained peer to its constraint vertex: the shallowest

@@ -1,7 +1,7 @@
 #include "auxsel/selection_types.h"
 
+#include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "common/bits.h"
 #include "common/ring_id.h"
@@ -45,9 +45,8 @@ bool QosSatisfied(const SelectionInput& input,
   return true;
 }
 
-}  // namespace
-
-Status ValidateInput(const SelectionInput& input) {
+/// Every check of ValidateInput except the distinctness of peers.
+Status ValidateFields(const SelectionInput& input) {
   if (input.bits < 1 || input.bits > 64) {
     return Status::InvalidArgument("bits must be in [1, 64]");
   }
@@ -56,17 +55,12 @@ Status ValidateInput(const SelectionInput& input) {
   if ((input.self_id & ~mask) != 0) {
     return Status::InvalidArgument("self_id out of range");
   }
-  std::unordered_set<uint64_t> seen;
-  seen.reserve(input.peers.size() * 2);
   for (const PeerFreq& p : input.peers) {
     if ((p.id & ~mask) != 0) {
       return Status::InvalidArgument("peer id out of range");
     }
     if (p.id == input.self_id) {
       return Status::InvalidArgument("peers must not contain self_id");
-    }
-    if (!seen.insert(p.id).second) {
-      return Status::InvalidArgument("duplicate peer id");
     }
     if (p.frequency < 0 || !std::isfinite(p.frequency)) {
       return Status::InvalidArgument("frequency must be finite and >= 0");
@@ -78,6 +72,49 @@ Status ValidateInput(const SelectionInput& input) {
     }
   }
   return Status::Ok();
+}
+
+}  // namespace
+
+Status ValidateInput(const SelectionInput& input) {
+  if (Status s = ValidateFields(input); !s.ok()) return s;
+  std::vector<uint64_t> ids;
+  ids.reserve(input.peers.size());
+  for (const PeerFreq& p : input.peers) ids.push_back(p.id);
+  std::sort(ids.begin(), ids.end());
+  if (std::adjacent_find(ids.begin(), ids.end()) != ids.end()) {
+    return Status::InvalidArgument("duplicate peer id");
+  }
+  return Status::Ok();
+}
+
+Result<std::vector<ViewEntry>> SortedView(const SelectionInput& input) {
+  if (Status s = ValidateFields(input); !s.ok()) return s;
+  std::vector<ViewEntry> view;
+  view.reserve(input.peers.size() + input.core_ids.size());
+  for (const PeerFreq& p : input.peers) {
+    view.push_back(ViewEntry{p.id, p.frequency, p.delay_bound, false});
+  }
+  for (uint64_t c : input.core_ids) {
+    if (c != input.self_id) view.push_back(ViewEntry{c, 0.0, -1, true});
+  }
+  // Peers sort before cores of the same id, so each run of equal ids starts
+  // with its peer entry, if any, and a second peer in a run is a duplicate.
+  std::sort(view.begin(), view.end(),
+            [](const ViewEntry& a, const ViewEntry& b) {
+              return a.id != b.id ? a.id < b.id : a.is_core < b.is_core;
+            });
+  size_t kept = 0;
+  for (const ViewEntry& e : view) {
+    if (kept > 0 && view[kept - 1].id == e.id) {
+      if (!e.is_core) return Status::InvalidArgument("duplicate peer id");
+      view[kept - 1].is_core = true;
+      continue;
+    }
+    view[kept++] = e;
+  }
+  view.resize(kept);
+  return view;
 }
 
 double EvaluatePastryCost(const SelectionInput& input,

@@ -43,8 +43,24 @@ struct Selection {
 };
 
 /// Validates a SelectionInput: ids in range, peers distinct, self excluded,
-/// k >= 0, frequencies finite and nonnegative.
+/// k >= 0, frequencies finite and nonnegative. O(|V| log |V|).
 Status ValidateInput(const SelectionInput& input);
+
+/// One element of V ∪ N_s: a peer, a core neighbor, or a core the node has
+/// also seen queries for. A core outside V has frequency 0 and no bound.
+struct ViewEntry {
+  uint64_t id = 0;
+  double frequency = 0.0;
+  int delay_bound = -1;
+  bool is_core = false;
+};
+
+/// The validated input as V ∪ N_s in ascending id order, self excluded: a
+/// repeated core, or a core that is also a peer, is one entry that keeps the
+/// peer's frequency and delay bound. Fails as ValidateInput does. Every
+/// selector builds its structure from this view in one ordered pass.
+/// O((|V| + |N|) log (|V| + |N|)).
+Result<std::vector<ViewEntry>> SortedView(const SelectionInput& input);
 
 /// Evaluates paper Eq. 1 for Pastry's distance estimate d_uv = b - lcp(u,v):
 /// Σ_v f_v (1 + min_{w ∈ N ∪ aux} (b - lcp(v, w))), with the convention

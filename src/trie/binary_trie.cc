@@ -11,6 +11,60 @@ BinaryTrie::BinaryTrie(int bits) : bits_(bits) {
   assert(bits >= 1 && bits <= 64);
 }
 
+BinaryTrie BinaryTrie::FromSortedLeaves(int bits,
+                                        const std::vector<LeafInfo>& leaves) {
+  BinaryTrie t(bits);
+  if (leaves.empty()) return t;
+  ++t.version_;
+  t.vertices_.reserve(2 * leaves.size());
+  t.leaves_.reserve(leaves.size());
+  t.root_ = t.AllocVertex();
+  std::vector<int> path{t.root_};  // the rightmost root path, root first
+  for (size_t i = 0; i < leaves.size(); ++i) {
+    const uint64_t id = leaves[i].id;
+    assert((id & ~LowBitMask(bits)) == 0);
+    assert(i == 0 || leaves[i - 1].id < id);
+    const int leaf_v = t.AllocVertex();
+    t.vertices_[leaf_v].depth = bits;
+    t.vertices_[leaf_v].prefix = id;
+    t.vertices_[leaf_v].leaf = leaves[i];
+    t.leaves_.emplace(id, leaf_v);
+
+    // The new id leaves its predecessor's at depth `branch`: every path
+    // vertex deeper than that is complete.
+    const int branch =
+        i == 0 ? 0 : CommonPrefixLength(leaves[i - 1].id, id, bits);
+    int done = kNil;
+    while (t.vertices_[path.back()].depth > branch) {
+      done = path.back();
+      path.pop_back();
+      t.RefreshAggregates(done);
+    }
+    int top = path.back();
+    if (t.vertices_[top].depth < branch) {
+      // Split the edge top -> done: the predecessor's side takes bit 0.
+      const int split = t.AllocVertex();
+      t.vertices_[split].depth = branch;
+      t.vertices_[split].prefix = t.PrefixOf(id, branch);
+      t.vertices_[split].parent = top;
+      t.vertices_[top].child[t.BitAt(id, t.vertices_[top].depth)] = split;
+      t.vertices_[split].child[0] = done;
+      t.vertices_[done].parent = split;
+      path.push_back(split);
+      top = split;
+    }
+    const int bit = t.BitAt(id, t.vertices_[top].depth);
+    assert(t.vertices_[top].child[bit] == kNil);
+    t.vertices_[top].child[bit] = leaf_v;
+    t.vertices_[leaf_v].parent = top;
+    path.push_back(leaf_v);
+  }
+  for (auto it = path.rbegin(); it != path.rend(); ++it) {
+    t.RefreshAggregates(*it);
+  }
+  return t;
+}
+
 int BinaryTrie::BitAt(uint64_t id, int i) const { return IdBit(id, bits_, i); }
 
 uint64_t BinaryTrie::PrefixOf(uint64_t id, int len) const {
@@ -289,8 +343,11 @@ Status BinaryTrie::CheckInvariants() const {
       const Vertex& cx = vertices_[c];
       if (cx.parent != v) return Status::Internal("parent link broken");
       if (cx.depth <= vx.depth) return Status::Internal("depth not increasing");
-      // Child's prefix must extend the parent's and branch on bit b.
-      uint64_t cp_top = cx.prefix >> (cx.depth - vx.depth);
+      // Child's prefix must extend the parent's and branch on bit b. A
+      // 64-bit leaf under the root extends the empty prefix (and a shift by
+      // 64 would be undefined).
+      const int extension = cx.depth - vx.depth;
+      uint64_t cp_top = extension == 64 ? 0 : cx.prefix >> extension;
       if (cp_top != vx.prefix) return Status::Internal("prefix mismatch");
       int branch_bit = static_cast<int>(
           (cx.prefix >> (cx.depth - vx.depth - 1)) & 1u);

@@ -47,6 +47,16 @@ class BinaryTrie {
   /// Creates an empty trie over `bits`-bit ids (1..64).
   explicit BinaryTrie(int bits);
 
+  /// Builds the trie holding `leaves`, whose ids must be in range and
+  /// strictly ascending, in one ordered pass: a stack holds the rightmost
+  /// root path, each leaf joins it at the depth where its id leaves its
+  /// predecessor's, and each vertex's aggregates are computed once, in
+  /// post-order, as it leaves the stack. The shape and aggregates equal
+  /// those of inserting the leaves one by one; only the vertex handles
+  /// differ. O(n) plus the leaf map.
+  static BinaryTrie FromSortedLeaves(int bits,
+                                     const std::vector<LeafInfo>& leaves);
+
   int bits() const { return bits_; }
   size_t leaf_count() const { return leaves_.size(); }
 

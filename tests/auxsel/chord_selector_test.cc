@@ -216,5 +216,48 @@ TEST(ChordFast, ArgminMonotonicityHolds) {
   }
 }
 
+TEST(ChordFastPlan, SEqualsSlowSExactly) {
+  // Integer frequencies make every s(j, m) an exact integer, so the O(1)
+  // jump-table form must equal the O(m - j) definition bit for bit. Dense
+  // ids in small spaces put successors exactly on the arc ends
+  // id_j + 2^r - 1; at b = 64 those ends overflow for the top r. An
+  // all-core input builds a plan with no rows.
+  struct Shape {
+    int bits;
+    int n_peers;
+    int n_cores;
+    bool all_core;
+  };
+  const Shape kShapes[] = {
+      {4, 15, 0, false},   {8, 1, 0, false},     {8, 200, 0, false},
+      {8, 120, 40, false}, {10, 250, 12, false}, {32, 250, 12, false},
+      {64, 1, 1, false},   {64, 250, 12, false}, {64, 200, 0, false},
+      {16, 30, 0, true}};
+  Rng rng(0x5105);
+  for (const Shape& s : kShapes) {
+    for (int trial = 0; trial < 4; ++trial) {
+      SelectionInput input =
+          RandomInput(rng, s.bits, s.n_peers, s.n_cores, /*k=*/3);
+      for (PeerFreq& p : input.peers) {
+        p.frequency = static_cast<double>(1 + rng.UniformU64(9));
+        if (s.all_core) input.core_ids.push_back(p.id);
+      }
+      auto plan = ChordFastPlan::Build(input);
+      ASSERT_TRUE(plan.ok()) << plan.status();
+      const ChordInstance& inst = plan->instance();
+      if (s.all_core) {
+        EXPECT_TRUE(inst.candidates.empty());
+      }
+      for (int j : inst.candidates) {
+        for (int m = j; m <= inst.n; ++m) {
+          ASSERT_EQ(plan->S(j, m), inst.SlowS(j, m))
+              << "bits " << s.bits << " n " << inst.n << " j " << j << " m "
+              << m;
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace peercache::auxsel

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "auxsel/pastry_greedy.h"
 #include "auxsel/pastry_maintainer.h"
@@ -115,6 +118,97 @@ TEST(PastryIncremental, MixedMutationStreamMatchesFreshBuild) {
   }
   // Final deep consistency: every cached gain list equals a full recompute.
   EXPECT_TRUE(tree.CheckConsistency().ok());
+}
+
+/// Bit-exact equality of two gain trees' root lists.
+void ExpectSameRootList(const PastryGainTree& a, const PastryGainTree& b,
+                        const std::string& when) {
+  const int ra = a.trie().root();
+  const int rb = b.trie().root();
+  ASSERT_EQ(ra == trie::BinaryTrie::kNil, rb == trie::BinaryTrie::kNil)
+      << when;
+  if (ra == trie::BinaryTrie::kNil) return;
+  const std::vector<GainEntry>& la = a.GainsAt(ra);
+  const std::vector<GainEntry>& lb = b.GainsAt(rb);
+  ASSERT_EQ(la.size(), lb.size()) << when;
+  for (size_t i = 0; i < la.size(); ++i) {
+    EXPECT_EQ(la[i].id, lb[i].id) << when << ", entry " << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(la[i].gain),
+              std::bit_cast<uint64_t>(lb[i].gain))
+        << when << ", entry " << i;
+  }
+}
+
+TEST(PastryIncremental, BottomUpAndInsertBuiltTreesAgreeUnderDeltas) {
+  Rng rng(0xb07705);
+  for (int bits : {8, 32, 64}) {
+    for (int k : {1, 4, 14}) {
+      SelectionInput input = RandomInput(rng, bits, /*n_peers=*/120,
+                                         /*n_cores=*/10, k);
+      for (PeerFreq& p : input.peers) {
+        p.frequency = static_cast<double>(1 + rng.UniformU64(3));  // ties
+      }
+      auto built_r = PastryGainTree::FromInput(input);
+      ASSERT_TRUE(built_r.ok()) << built_r.status();
+      PastryGainTree& built = built_r.value();
+      PastryGainTree inserted(bits, k);
+      for (const PeerFreq& p : input.peers) {
+        ASSERT_TRUE(inserted.AddPeer(p.id, p.frequency).ok());
+      }
+      for (uint64_t c : input.core_ids) {
+        ASSERT_TRUE((inserted.trie().Contains(c)
+                         ? inserted.SetCore(c, true)
+                         : inserted.AddPeer(c, 0.0, /*is_core=*/true))
+                        .ok());
+      }
+      ExpectSameRootList(built, inserted, "after build");
+
+      std::vector<uint64_t> present;
+      for (int leaf : built.trie().AllLeaves()) {
+        present.push_back(built.trie().LeafAt(leaf).id);
+      }
+      std::sort(present.begin(), present.end());
+      const uint64_t bound =
+          bits == 64 ? ~uint64_t{0} : uint64_t{1} << bits;
+      for (int step = 0; step < 200; ++step) {
+        const uint64_t op = rng.UniformU64(4);
+        if (op == 0 || present.empty()) {
+          const uint64_t id = rng.UniformU64(bound);
+          if (id == input.self_id || built.trie().Contains(id)) continue;
+          const double f = static_cast<double>(rng.UniformU64(4));
+          ASSERT_TRUE(built.AddPeer(id, f).ok());
+          ASSERT_TRUE(inserted.AddPeer(id, f).ok());
+          present.push_back(id);
+          continue;
+        }
+        const size_t i = rng.UniformU64(present.size());
+        const uint64_t id = present[i];
+        if (op == 1) {
+          ASSERT_TRUE(built.RemovePeer(id).ok());
+          ASSERT_TRUE(inserted.RemovePeer(id).ok());
+          present[i] = present.back();
+          present.pop_back();
+        } else if (op == 2) {
+          const double f = static_cast<double>(rng.UniformU64(4));
+          ASSERT_TRUE(built.UpdateFrequency(id, f).ok());
+          ASSERT_TRUE(inserted.UpdateFrequency(id, f).ok());
+        } else {
+          const trie::BinaryTrie& t = built.trie();
+          const bool core = !t.LeafAt(t.FindLeaf(id)).is_core;
+          ASSERT_TRUE(built.SetCore(id, core).ok());
+          ASSERT_TRUE(inserted.SetCore(id, core).ok());
+        }
+        if (step % 20 == 19) {
+          ExpectSameRootList(built, inserted,
+                             "after step " + std::to_string(step));
+        }
+      }
+      ASSERT_TRUE(built.trie().CheckInvariants().ok());
+      EXPECT_TRUE(built.CheckConsistency().ok());
+      EXPECT_TRUE(inserted.CheckConsistency().ok());
+      ExpectSameRootList(built, inserted, "at the end");
+    }
+  }
 }
 
 TEST(PastryIncremental, RemoveToEmptyAndRebuild) {

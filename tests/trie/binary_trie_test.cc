@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "common/bits.h"
 #include "common/random.h"
@@ -182,6 +184,70 @@ TEST(BinaryTrie, RandomizedMutationsKeepInvariants) {
       for (auto& [i, f] : shadow) total += f;
       if (t.root() != BinaryTrie::kNil) {
         EXPECT_NEAR(t.SubtreeFrequency(t.root()), total, 1e-9);
+      }
+    }
+  }
+}
+
+/// Walks from the root to `id`'s leaf by the id's bits, recording at each
+/// vertex its depth, the exact bits of its subtree frequency, its candidate
+/// count and whether its subtree holds a neighbor.
+std::vector<uint64_t> RootPath(const BinaryTrie& t, uint64_t id) {
+  std::vector<uint64_t> path;
+  int v = t.root();
+  while (v != BinaryTrie::kNil) {
+    path.push_back(static_cast<uint64_t>(t.Depth(v)));
+    path.push_back(std::bit_cast<uint64_t>(t.SubtreeFrequency(v)));
+    path.push_back(static_cast<uint64_t>(t.CandidateCount(v)));
+    path.push_back(t.SubtreeHasNeighbor(v) ? 1 : 0);
+    if (t.IsLeaf(v)) break;
+    v = t.Child(v, IdBit(id, t.bits(), t.Depth(v)));
+  }
+  return path;
+}
+
+TEST(BinaryTrie, BottomUpBuildEqualsInsertBuild) {
+  Rng rng(0xb07704);
+  for (int bits : {1, 2, 8, 32, 64}) {
+    for (size_t n : {0, 1, 2, 3, 10, 100, 1000}) {
+      const uint64_t bound = bits == 64 ? ~uint64_t{0} : uint64_t{1} << bits;
+      const auto ids = rng.SampleDistinct(bound, std::min<uint64_t>(n, bound));
+      std::vector<LeafInfo> leaves;
+      for (uint64_t id : ids) {
+        // Non-integer frequencies so that any change in summation order
+        // shows in the bits.
+        LeafInfo leaf = MakeLeaf(id, rng.UniformDouble() * 100.0,
+                                 rng.Bernoulli(0.2));
+        leaf.preselected = rng.Bernoulli(0.1);
+        leaf.delay_bound = static_cast<int>(rng.UniformInt(-1, bits));
+        leaves.push_back(leaf);
+      }
+      BinaryTrie inserted(bits);
+      for (const LeafInfo& leaf : leaves) {
+        ASSERT_TRUE(inserted.Insert(leaf).ok());
+      }
+      std::sort(leaves.begin(), leaves.end(),
+                [](const LeafInfo& a, const LeafInfo& b) {
+                  return a.id < b.id;
+                });
+      const BinaryTrie built = BinaryTrie::FromSortedLeaves(bits, leaves);
+
+      ASSERT_TRUE(built.CheckInvariants().ok())
+          << built.CheckInvariants() << " bits " << bits << " n " << n;
+      ASSERT_TRUE(inserted.CheckInvariants().ok())
+          << inserted.CheckInvariants();
+      EXPECT_EQ(built.leaf_count(), inserted.leaf_count());
+      EXPECT_EQ(built.vertex_count(), inserted.vertex_count());
+      EXPECT_EQ(built.root() == BinaryTrie::kNil,
+                inserted.root() == BinaryTrie::kNil);
+      for (const LeafInfo& leaf : leaves) {
+        EXPECT_EQ(RootPath(built, leaf.id), RootPath(inserted, leaf.id))
+            << "bits " << bits << " n " << n << " id " << leaf.id;
+        const LeafInfo& got = built.LeafAt(built.FindLeaf(leaf.id));
+        EXPECT_EQ(got.frequency, leaf.frequency);
+        EXPECT_EQ(got.is_core, leaf.is_core);
+        EXPECT_EQ(got.preselected, leaf.preselected);
+        EXPECT_EQ(got.delay_bound, leaf.delay_bound);
       }
     }
   }
