@@ -28,7 +28,8 @@ struct RouteOptions {
 /// One suspended lookup at node-visit granularity, shared by every overlay
 /// and every driver: LookupInto runs visits until done, the batched engine
 /// interleaves a window of cursors, and the message runtime carries the
-/// plain fields in a LOOKUP_STEP frame (net::WireCursor) to the next node.
+/// cursor itself in a LOOKUP_STEP frame (net::LookupStep) to the next node,
+/// where it resumes with `node` and `done` reset.
 struct RouteCursor {
   uint64_t current = 0;  ///< node the route stands at
   uint64_t key = 0;

@@ -13,36 +13,6 @@
 
 namespace peercache::net {
 
-namespace {
-
-WireCursor PackCursor(const overlay::RouteCursor& c, bool resilient) {
-  WireCursor w;
-  w.current = c.current;
-  w.key = c.key;
-  w.truth = c.truth;
-  w.hops_taken = static_cast<uint32_t>(c.hops_taken);
-  w.spent = static_cast<uint32_t>(c.spent);
-  w.attempt = static_cast<uint32_t>(c.attempt);
-  if (resilient) w.flags |= WireCursor::kFlagResilient;
-  if (c.latch) w.flags |= WireCursor::kFlagNumericMode;
-  return w;
-}
-
-overlay::RouteCursor UnpackCursor(const WireCursor& w) {
-  overlay::RouteCursor c;
-  c.current = w.current;
-  c.key = w.key;
-  c.truth = w.truth;
-  c.hops_taken = static_cast<int>(w.hops_taken);
-  c.spent = static_cast<int>(w.spent);
-  c.attempt = static_cast<int>(w.attempt);
-  c.latch = (w.flags & WireCursor::kFlagNumericMode) != 0;
-  c.done = false;  // a STEP only travels while the route is live
-  return c;
-}
-
-}  // namespace
-
 LookupWireStatus WireStatusOf(const Status& s) {
   if (s.ok()) return LookupWireStatus::kOk;
   if (s.code() == StatusCode::kUnavailable) {
@@ -64,7 +34,7 @@ Status UnpackDone(const LookupDone& done, overlay::RouteResult& result,
     case LookupWireStatus::kProtocolError:
       return Status::Internal("lookup protocol error");
   }
-  UnpackRouteState(done.route, result);
+  result = done.route;
   if (trace != nullptr && done.traced()) {
     trace->origin = done.origin;
     trace->key = done.key;
@@ -72,7 +42,7 @@ Status UnpackDone(const LookupDone& done, overlay::RouteResult& result,
     trace->success = result.success;
     trace->hops = result.hops;
     trace->latency_ms = result.latency_ms;
-    UnpackHops(done.hops, trace->path);
+    trace->path = done.hops;
   }
   return Status::Ok();
 }
@@ -135,10 +105,10 @@ void ActorHost<Net>::VisitAndEmit(uint64_t lookup_id, uint64_t client,
     done.origin = origin;
     done.key = cursor.key;
     done.status = static_cast<uint8_t>(LookupWireStatus::kOk);
-    done.route = PackRouteState(std::move(result));
+    done.route = std::move(result);
     if (trace != nullptr) {
       done.flags |= LookupDone::kFlagTraced;
-      done.hops = PackHops(trace->path);
+      done.hops = std::move(trace->path);
     }
     o.dst = client;
     o.payload = Encode(done);
@@ -147,11 +117,12 @@ void ActorHost<Net>::VisitAndEmit(uint64_t lookup_id, uint64_t client,
     step.lookup_id = lookup_id;
     step.client = client;
     step.origin = origin;
-    step.cursor = PackCursor(cursor, resilient());
-    step.route = PackRouteState(std::move(result));
+    step.cursor = cursor;
+    step.resilient = resilient();
+    step.route = std::move(result);
     if (trace != nullptr) {
       step.flags |= LookupStep::kFlagTraced;
-      step.hops = PackHops(trace->path);
+      step.hops = std::move(trace->path);
     }
     o.dst = cursor.current;
     o.payload = Encode(step);
@@ -179,42 +150,40 @@ void ActorHost<Net>::StartLookup(const LookupReq& req,
 template <typename Net>
 void ActorHost<Net>::ContinueLookup(uint64_t at, LookupStep step,
                                     std::vector<Outbound>& out) const {
-  overlay::RouteCursor cursor = UnpackCursor(step.cursor);
+  overlay::RouteCursor& cursor = step.cursor;
+  const overlay::RouteResult& r = step.route;
   // The cursor must stand at this live node and carry this host's routing
-  // policy, and no counter may exceed what a live route can have spent:
-  // the hop budget plus the one over-budget forward. Anything else is a
-  // frame the kernel must never visit (bounded counters also cannot
-  // overflow inside the visit).
-  const auto* node = net_->GetNode(at);
-  const bool step_resilient =
-      (step.cursor.flags & WireCursor::kFlagResilient) != 0;
-  const WireCursor& w = step.cursor;
-  const WireRouteState& r = step.route;
-  const uint64_t most_spent =
-      static_cast<uint64_t>(net_->params().max_route_hops) + 1;
+  // policy, and every counter must lie in [0, max_route_hops + 1]: a live
+  // route has spent at most the hop budget plus the one over-budget
+  // forward, and a u32 counter of 2^31 or more decodes negative. Anything
+  // else is a frame the kernel must never visit (bounded counters also
+  // cannot overflow inside the visit).
+  const auto [lo, hi] =
+      std::minmax({cursor.hops_taken, cursor.spent, cursor.attempt,
+                   r.aux_hops, r.retries, r.dropped_forwards,
+                   r.failstop_skips, r.stale_forwards});
   const bool counters_ok =
-      std::max({w.hops_taken, w.spent, w.attempt, r.aux_hops, r.retries,
-                r.dropped_forwards, r.failstop_skips, r.stale_forwards}) <=
-      most_spent;
+      lo >= 0 && int64_t{hi} <= int64_t{net_->params().max_route_hops} + 1;
   if (cursor.current != at || !net_->IsAlive(at) ||
-      step_resilient != resilient() || !counters_ok) {
-    EmitError(step.lookup_id, step.client, step.origin, step.cursor.key,
+      step.resilient != resilient() || !counters_ok) {
+    EmitError(step.lookup_id, step.client, step.origin, cursor.key,
               LookupWireStatus::kProtocolError, out);
     return;
   }
-  cursor.node = node;
-  overlay::RouteResult result;
-  UnpackRouteState(std::move(step.route), result);
+  // The record hint and done bit do not travel: the route resumes live at
+  // this node's record.
+  cursor.node = net_->GetNode(at);
+  cursor.done = false;
   RouteTrace trace;
   RouteTrace* tp = nullptr;
   if (step.traced()) {
     trace.origin = step.origin;
-    trace.key = step.cursor.key;
-    UnpackHops(step.hops, trace.path);
+    trace.key = cursor.key;
+    trace.path = std::move(step.hops);
     tp = &trace;
   }
-  VisitAndEmit(step.lookup_id, step.client, step.origin, cursor, result, tp,
-               out);
+  VisitAndEmit(step.lookup_id, step.client, step.origin, cursor, step.route,
+               tp, out);
 }
 
 template <typename Net>

@@ -47,8 +47,8 @@ class ActorHost {
   /// (to the client). A REQ whose origin is not the envelope's destination,
   /// or a STEP whose cursor does not stand at the destination, names a dead
   /// or unknown node, carries a resilient flag that disagrees with this
-  /// host's fault plan, or carries a counter past max_route_hops + 1,
-  /// yields a DONE with kProtocolError; an undecodable frame is dropped.
+  /// host's fault plan, or carries a counter outside [0, max_route_hops +
+  /// 1] yields a DONE with kProtocolError; an undecodable frame is dropped.
   /// Each outbound message's delay is the latency the visit accrued, which
   /// makes the LatencyModel the bus's delivery clock.
   void HandleMessage(const Envelope& env, std::vector<Outbound>& out) const;
@@ -65,7 +65,8 @@ class ActorHost {
 
  private:
   void StartLookup(const LookupReq& req, std::vector<Outbound>& out) const;
-  /// Consumes `step`: its route vectors move into the resumed route.
+  /// Consumes `step`: its cursor, route and hop log are the kernel visit's
+  /// own state, and move on into the next frame.
   void ContinueLookup(uint64_t at, LookupStep step,
                       std::vector<Outbound>& out) const;
   /// Runs one kernel visit on a live cursor and emits the follow-up

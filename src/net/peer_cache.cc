@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <sys/file.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -231,6 +232,15 @@ Result<PeerCache> PeerCache::Open(const std::string& path) {
     return Status::InvalidArgument("peer cache: bad geometry");
   }
   cache.config_ = config;
+  // The header is only checksummed, not proven: nothing is sized from it
+  // until the file is seen to hold every slot it claims. A longer file
+  // opens as before.
+  struct stat st;
+  if (::fstat(fd, &st) != 0) return Errno("fstat");
+  if (static_cast<uint64_t>(st.st_size) <
+      cache.SlotOffset(config.slot_count)) {
+    return Status::InvalidArgument("peer cache: truncated slot region");
+  }
   cache.slot_ids_.assign(config.slot_count, kEmptySlot);
   // Scan every slot: a used record with a bad checksum is a torn write —
   // count it and treat the slot as empty.

@@ -74,8 +74,9 @@ class PeerCache {
                                   const PeerCacheConfig& config);
 
   /// Opens an existing cache file, validating the header and every used
-  /// slot's checksum. Torn/corrupt records are counted in stats().rejected
-  /// and treated as empty.
+  /// slot's checksum. A file shorter than the slots its header claims is
+  /// refused before anything is sized from the header. Torn/corrupt records
+  /// are counted in stats().rejected and treated as empty.
   static Result<PeerCache> Open(const std::string& path);
 
   PeerCache(PeerCache&& other) noexcept;

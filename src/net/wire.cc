@@ -48,13 +48,41 @@ constexpr size_t kRouteStateFixed = 49;   // flags, u64, 6 x u32, f64, 2 counts
 constexpr size_t kHopSize = 34;           // 3 x u64, f64, kind, flags
 constexpr size_t kEvictionSize = 16;      // holder, entry
 
-size_t RouteStateSize(const WireRouteState& s) {
+size_t RouteStateSize(const overlay::RouteResult& s) {
   return kRouteStateFixed + 8 * s.path.size() +
          kEvictionSize * s.dead_evictions.size();
 }
 
-size_t HopsSize(const std::vector<WireHop>& hops) {
+size_t HopsSize(const std::vector<HopRecord>& hops) {
   return 4 + kHopSize * hops.size();
+}
+
+// The cursor, route-state and hop flag bytes each hold two bools, in bits
+// 0 and 1: (resilient, latch), (success, budget_exhausted) and (dropped,
+// retried). Any other bit is a corrupt or future frame, so a decoded frame
+// always re-encodes to itself.
+void WriteFlags(ByteWriter& w, bool bit0, bool bit1) {
+  w.U8(static_cast<uint8_t>((bit0 ? 1u : 0u) | (bit1 ? 2u : 0u)));
+}
+
+bool ReadFlags(ByteReader& r, bool& bit0, bool& bit1) {
+  uint8_t flags;
+  if (!r.U8(flags) || flags > 3) return false;
+  bit0 = (flags & 1u) != 0;
+  bit1 = (flags & 2u) != 0;
+  return true;
+}
+
+// Counters travel as u32. One of 2^31 or more reads back negative (C++20
+// conversion is modular) and re-encodes to the same bytes; the actor, not
+// the decoder, decides which counters a live route can carry.
+void WriteCount(ByteWriter& w, int v) { w.U32(static_cast<uint32_t>(v)); }
+
+bool ReadCount(ByteReader& r, int& v) {
+  uint32_t u;
+  if (!r.U32(u)) return false;
+  v = static_cast<int>(u);
+  return true;
 }
 
 void WriteU64Vector(ByteWriter& w, const std::vector<uint64_t>& v) {
@@ -76,15 +104,15 @@ bool ReadU64Vector(ByteReader& r, std::vector<uint64_t>& v) {
   return true;
 }
 
-void WriteRouteState(ByteWriter& w, const WireRouteState& s) {
-  w.U8(s.flags);
+void WriteRouteState(ByteWriter& w, const overlay::RouteResult& s) {
+  WriteFlags(w, s.success, s.budget_exhausted);
   w.U64(s.destination);
-  w.U32(s.hops);
-  w.U32(s.aux_hops);
-  w.U32(s.retries);
-  w.U32(s.dropped_forwards);
-  w.U32(s.failstop_skips);
-  w.U32(s.stale_forwards);
+  WriteCount(w, s.hops);
+  WriteCount(w, s.aux_hops);
+  WriteCount(w, s.retries);
+  WriteCount(w, s.dropped_forwards);
+  WriteCount(w, s.failstop_skips);
+  WriteCount(w, s.stale_forwards);
   w.F64(s.latency_ms);
   WriteU64Vector(w, s.path);
   w.U32(static_cast<uint32_t>(s.dead_evictions.size()));
@@ -94,10 +122,11 @@ void WriteRouteState(ByteWriter& w, const WireRouteState& s) {
   }
 }
 
-bool ReadRouteState(ByteReader& r, WireRouteState& s) {
-  if (!r.U8(s.flags) || !r.U64(s.destination) || !r.U32(s.hops) ||
-      !r.U32(s.aux_hops) || !r.U32(s.retries) || !r.U32(s.dropped_forwards) ||
-      !r.U32(s.failstop_skips) || !r.U32(s.stale_forwards) ||
+bool ReadRouteState(ByteReader& r, overlay::RouteResult& s) {
+  if (!ReadFlags(r, s.success, s.budget_exhausted) || !r.U64(s.destination) ||
+      !ReadCount(r, s.hops) || !ReadCount(r, s.aux_hops) ||
+      !ReadCount(r, s.retries) || !ReadCount(r, s.dropped_forwards) ||
+      !ReadCount(r, s.failstop_skips) || !ReadCount(r, s.stale_forwards) ||
       !r.F64(s.latency_ms) || !ReadU64Vector(r, s.path)) {
     return false;
   }
@@ -116,49 +145,53 @@ bool ReadRouteState(ByteReader& r, WireRouteState& s) {
   return true;
 }
 
-void WriteCursor(ByteWriter& w, const WireCursor& c) {
+void WriteCursor(ByteWriter& w, const overlay::RouteCursor& c,
+                 bool resilient) {
   w.U64(c.current);
   w.U64(c.key);
   w.U64(c.truth);
-  w.U32(c.hops_taken);
-  w.U32(c.spent);
-  w.U32(c.attempt);
-  w.U8(c.flags);
+  WriteCount(w, c.hops_taken);
+  WriteCount(w, c.spent);
+  WriteCount(w, c.attempt);
+  WriteFlags(w, resilient, c.latch);
 }
 
-bool ReadCursor(ByteReader& r, WireCursor& c) {
+bool ReadCursor(ByteReader& r, overlay::RouteCursor& c, bool& resilient) {
   return r.U64(c.current) && r.U64(c.key) && r.U64(c.truth) &&
-         r.U32(c.hops_taken) && r.U32(c.spent) && r.U32(c.attempt) &&
-         r.U8(c.flags);
+         ReadCount(r, c.hops_taken) && ReadCount(r, c.spent) &&
+         ReadCount(r, c.attempt) && ReadFlags(r, resilient, c.latch);
 }
 
-void WriteHops(ByteWriter& w, const std::vector<WireHop>& hops) {
+void WriteHops(ByteWriter& w, const std::vector<HopRecord>& hops) {
   w.U32(static_cast<uint32_t>(hops.size()));
-  for (const WireHop& h : hops) {
+  for (const HopRecord& h : hops) {
     w.U64(h.from);
     w.U64(h.to);
     w.U64(h.remaining);
     w.F64(h.latency_ms);
-    w.U8(h.kind);
-    w.U8(h.flags);
+    w.U8(static_cast<uint8_t>(h.kind));
+    WriteFlags(w, h.dropped, h.retried);
   }
 }
 
-bool ReadHops(ByteReader& r, std::vector<WireHop>& hops) {
+bool ReadHops(ByteReader& r, std::vector<HopRecord>& hops) {
   uint32_t count;
   if (!r.U32(count)) return false;
   if (static_cast<size_t>(count) * kHopSize > r.remaining()) return false;
   hops.clear();
   hops.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
-    WireHop h;
+    HopRecord h;
+    uint8_t kind;
     if (!r.U64(h.from) || !r.U64(h.to) || !r.U64(h.remaining) ||
-        !r.F64(h.latency_ms) || !r.U8(h.kind) || !r.U8(h.flags)) {
+        !r.F64(h.latency_ms) || !r.U8(kind) ||
+        !ReadFlags(r, h.dropped, h.retried)) {
       return false;
     }
     // Entry kinds are part of the schema: an unknown kind is a corrupt or
     // future frame, not something to propagate into telemetry.
-    if (h.kind > static_cast<uint8_t>(HopEntryKind::kBucket)) return false;
+    if (kind > static_cast<uint8_t>(HopEntryKind::kBucket)) return false;
+    h.kind = static_cast<HopEntryKind>(kind);
     hops.push_back(h);
   }
   return true;
@@ -268,7 +301,7 @@ std::vector<uint8_t> Encode(const LookupStep& msg) {
     w.U64(msg.client);
     w.U64(msg.origin);
     w.U8(msg.flags);
-    WriteCursor(w, msg.cursor);
+    WriteCursor(w, msg.cursor, msg.resilient);
     WriteRouteState(w, msg.route);
     WriteHops(w, msg.hops);
   });
@@ -335,7 +368,7 @@ Result<AnyMessage> Decode(std::span<const uint8_t> frame) {
     case MessageType::kLookupStep: {
       LookupStep m;
       if (!r.U64(m.lookup_id) || !r.U64(m.client) || !r.U64(m.origin) ||
-          !r.U8(m.flags) || !ReadCursor(r, m.cursor) ||
+          !r.U8(m.flags) || !ReadCursor(r, m.cursor, m.resilient) ||
           !ReadRouteState(r, m.route) || !ReadHops(r, m.hops) || !r.AtEnd()) {
         return malformed();
       }
@@ -372,74 +405,6 @@ Result<AnyMessage> Decode(std::span<const uint8_t> frame) {
     }
   }
   return Status::Internal("wire: unreachable type");
-}
-
-WireRouteState PackRouteState(overlay::RouteResult r) {
-  WireRouteState s;
-  s.flags = static_cast<uint8_t>(
-      (r.success ? WireRouteState::kFlagSuccess : 0) |
-      (r.budget_exhausted ? WireRouteState::kFlagBudgetExhausted : 0));
-  s.destination = r.destination;
-  s.hops = static_cast<uint32_t>(r.hops);
-  s.aux_hops = static_cast<uint32_t>(r.aux_hops);
-  s.retries = static_cast<uint32_t>(r.retries);
-  s.dropped_forwards = static_cast<uint32_t>(r.dropped_forwards);
-  s.failstop_skips = static_cast<uint32_t>(r.failstop_skips);
-  s.stale_forwards = static_cast<uint32_t>(r.stale_forwards);
-  s.latency_ms = r.latency_ms;
-  s.path = std::move(r.path);
-  s.dead_evictions = std::move(r.dead_evictions);
-  return s;
-}
-
-void UnpackRouteState(WireRouteState w, overlay::RouteResult& out) {
-  out.success = (w.flags & WireRouteState::kFlagSuccess) != 0;
-  out.budget_exhausted =
-      (w.flags & WireRouteState::kFlagBudgetExhausted) != 0;
-  out.destination = w.destination;
-  out.hops = static_cast<int>(w.hops);
-  out.aux_hops = static_cast<int>(w.aux_hops);
-  out.retries = static_cast<int>(w.retries);
-  out.dropped_forwards = static_cast<int>(w.dropped_forwards);
-  out.failstop_skips = static_cast<int>(w.failstop_skips);
-  out.stale_forwards = static_cast<int>(w.stale_forwards);
-  out.latency_ms = w.latency_ms;
-  out.path = std::move(w.path);
-  out.dead_evictions = std::move(w.dead_evictions);
-}
-
-std::vector<WireHop> PackHops(const std::vector<HopRecord>& path) {
-  std::vector<WireHop> out;
-  out.reserve(path.size());
-  for (const HopRecord& h : path) {
-    WireHop w;
-    w.from = h.from;
-    w.to = h.to;
-    w.remaining = h.remaining;
-    w.latency_ms = h.latency_ms;
-    w.kind = static_cast<uint8_t>(h.kind);
-    w.flags = static_cast<uint8_t>((h.dropped ? WireHop::kFlagDropped : 0) |
-                                   (h.retried ? WireHop::kFlagRetried : 0));
-    out.push_back(w);
-  }
-  return out;
-}
-
-void UnpackHops(const std::vector<WireHop>& hops,
-                std::vector<HopRecord>& out) {
-  out.clear();
-  out.reserve(hops.size());
-  for (const WireHop& w : hops) {
-    HopRecord h;
-    h.from = w.from;
-    h.to = w.to;
-    h.kind = static_cast<HopEntryKind>(w.kind);
-    h.remaining = w.remaining;
-    h.dropped = (w.flags & WireHop::kFlagDropped) != 0;
-    h.retried = (w.flags & WireHop::kFlagRetried) != 0;
-    h.latency_ms = w.latency_ms;
-    out.push_back(h);
-  }
 }
 
 }  // namespace peercache::net

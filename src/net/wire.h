@@ -5,10 +5,10 @@
 #include <cstring>
 #include <span>
 #include <string>
-#include <utility>
 #include <variant>
 #include <vector>
 
+#include "common/route_kernel.h"
 #include "common/route_result.h"
 #include "common/status.h"
 #include "common/trace.h"
@@ -158,82 +158,30 @@ struct LookupReq {
   friend bool operator==(const LookupReq&, const LookupReq&) = default;
 };
 
-/// The in-flight route cursor — overlay::RouteCursor's plain fields (the
-/// geometry latch, Pastry's numeric mode, rides in a flag bit) plus the
-/// sender's routing policy: kFlagResilient is set exactly when the host
-/// routes under an enabled fault plan.
-struct WireCursor {
-  uint64_t current = 0;
-  uint64_t key = 0;
-  uint64_t truth = 0;
-  uint32_t hops_taken = 0;
-  uint32_t spent = 0;
-  uint32_t attempt = 0;
-  uint8_t flags = 0;
-
-  static constexpr uint8_t kFlagResilient = 1u << 0;
-  static constexpr uint8_t kFlagNumericMode = 1u << 1;
-
-  friend bool operator==(const WireCursor&, const WireCursor&) = default;
-};
-
-/// One RouteTrace hop record on the wire: entry kind, remaining-distance
-/// metric (overlay-specific), latency span, and fault tags.
-struct WireHop {
-  uint64_t from = 0;
-  uint64_t to = 0;
-  uint64_t remaining = 0;
-  double latency_ms = 0;
-  uint8_t kind = 0;   // HopEntryKind
-  uint8_t flags = 0;  // bit 0: dropped, bit 1: retried
-
-  static constexpr uint8_t kFlagDropped = 1u << 0;
-  static constexpr uint8_t kFlagRetried = 1u << 1;
-
-  friend bool operator==(const WireHop&, const WireHop&) = default;
-};
-
-/// RouteResult state accumulated so far (in a STEP) or final (in a DONE).
-struct WireRouteState {
-  uint8_t flags = 0;  // bit 0: success, bit 1: budget_exhausted
-  uint64_t destination = 0;
-  uint32_t hops = 0;
-  uint32_t aux_hops = 0;
-  uint32_t retries = 0;
-  uint32_t dropped_forwards = 0;
-  uint32_t failstop_skips = 0;
-  uint32_t stale_forwards = 0;
-  double latency_ms = 0;
-  std::vector<uint64_t> path;
-  std::vector<std::pair<uint64_t, uint64_t>> dead_evictions;
-
-  static constexpr uint8_t kFlagSuccess = 1u << 0;
-  static constexpr uint8_t kFlagBudgetExhausted = 1u << 1;
-
-  friend bool operator==(const WireRouteState&, const WireRouteState&) =
-      default;
-};
-
-/// LOOKUP_STEP — a suspended lookup handed to the next node: the resumable
-/// cursor plus everything accumulated so far. Self-contained: telemetry for
-/// the route needs nothing but this message chain.
+/// LOOKUP_STEP — a suspended lookup handed to the next node: the routing
+/// kernel's own cursor, route state and hop log, exactly as the sender's
+/// visit left them. Self-contained: telemetry for the route needs nothing
+/// but this message chain.
 struct LookupStep {
   uint64_t lookup_id = 0;
   uint64_t client = kClientAddress;
   uint64_t origin = 0;
   uint8_t flags = 0;  // bit 0: traced (hop log travels)
-  WireCursor cursor;
-  WireRouteState route;
-  std::vector<WireHop> hops;  // present when traced
+  /// Only the plain fields travel: the node-record hint and `done` bit stay
+  /// behind, since a STEP exists only while its route is live.
+  overlay::RouteCursor cursor;
+  /// The sender's routing policy: set exactly when its host routes under an
+  /// enabled fault plan.
+  bool resilient = false;
+  overlay::RouteResult route;
+  std::vector<HopRecord> hops;  // present when traced
 
   static constexpr uint8_t kFlagTraced = 1u << 0;
   bool traced() const { return (flags & kFlagTraced) != 0; }
-
-  friend bool operator==(const LookupStep&, const LookupStep&) = default;
 };
 
 /// LOOKUP_DONE — final answer back to the client. status 0 is success-path
-/// (route ran to completion; route.flags says whether it delivered);
+/// (route ran to completion; route.success says whether it delivered);
 /// non-zero mirrors the direct call's error statuses.
 struct LookupDone {
   uint64_t lookup_id = 0;
@@ -242,13 +190,11 @@ struct LookupDone {
   uint64_t key = 0;
   uint8_t status = 0;  // LookupWireStatus
   uint8_t flags = 0;   // bit 0: traced
-  WireRouteState route;
-  std::vector<WireHop> hops;
+  overlay::RouteResult route;
+  std::vector<HopRecord> hops;
 
   static constexpr uint8_t kFlagTraced = 1u << 0;
   bool traced() const { return (flags & kFlagTraced) != 0; }
-
-  friend bool operator==(const LookupDone&, const LookupDone&) = default;
 };
 
 enum class LookupWireStatus : uint8_t {
@@ -293,19 +239,12 @@ Result<MessageType> PeekType(std::span<const uint8_t> frame);
 
 /// Decodes a full frame. Any malformed input — truncated at any byte,
 /// flipped bits, unknown version or type, payload longer or shorter than
-/// its fields, trailing bytes — yields a non-OK status, never UB.
+/// its fields, trailing bytes, an unknown hop kind or an unknown bit in a
+/// cursor, route-state or hop flag byte — yields a non-OK status, never UB.
+/// Every frame it accepts re-encodes to the same bytes. Counters are u32 on
+/// the wire and read back modulo 2^32 into the kernel's ints, so one of
+/// 2^31 or more decodes negative; ActorHost rejects it.
 Result<AnyMessage> Decode(std::span<const uint8_t> frame);
-
-/// RouteResult <-> wire conversions (exact, including double bit patterns).
-/// The source is taken by value: a caller finished with it passes std::move
-/// and its path and eviction vectors change owner instead of being copied.
-WireRouteState PackRouteState(overlay::RouteResult r);
-void UnpackRouteState(WireRouteState w, overlay::RouteResult& out);
-
-/// RouteTrace hop records <-> wire conversions.
-std::vector<WireHop> PackHops(const std::vector<HopRecord>& path);
-void UnpackHops(const std::vector<WireHop>& hops,
-                std::vector<HopRecord>& out);
 
 }  // namespace peercache::net
 

@@ -91,7 +91,7 @@ TEST(ActorProtocolTest, ResilientStepWithoutFaultPlanIsProtocolError) {
   const chord::ChordNetwork net = SmallRing();
   const Host host(net, Host::Config{});
   LookupStep step = StepAt(200);
-  step.cursor.flags |= WireCursor::kFlagResilient;
+  step.resilient = true;
   ExpectProtocolError(Deliver(host, 200, Encode(step)));
 }
 
@@ -107,7 +107,7 @@ TEST(ActorProtocolTest, PlainStepOnFaultedHostIsProtocolError) {
   ExpectProtocolError(Deliver(host, 200, Encode(StepAt(200))));
   // The same cursor under the host's own policy is visited.
   LookupStep step = StepAt(200);
-  step.cursor.flags |= WireCursor::kFlagResilient;
+  step.resilient = true;
   const std::vector<Outbound> out = Deliver(host, 200, Encode(step));
   ASSERT_EQ(out.size(), 1u);
   EXPECT_NE(out[0].dst, kClientAddress) << "a live route moves on";
@@ -129,7 +129,7 @@ TEST(ActorProtocolTest, StepWithCounterPastHopBudgetIsProtocolError) {
   const Host host(net, Host::Config{});
   // The most a live route can have spent is the budget plus one forward.
   LookupStep step = StepAt(200);
-  step.cursor.spent = static_cast<uint32_t>(net.params().max_route_hops) + 1;
+  step.cursor.spent = net.params().max_route_hops + 1;
   ASSERT_EQ(OnlyDone(Deliver(host, 200, Encode(step))).status,
             static_cast<uint8_t>(LookupWireStatus::kOk));
   step = StepAt(200);
@@ -137,6 +137,19 @@ TEST(ActorProtocolTest, StepWithCounterPastHopBudgetIsProtocolError) {
   ExpectProtocolError(Deliver(host, 200, Encode(step)));
   step = StepAt(200);
   step.route.aux_hops = 0x7fffffff;
+  ExpectProtocolError(Deliver(host, 200, Encode(step)));
+}
+
+// A u32 counter of 2^31 or more decodes negative, below anything a live
+// route can carry.
+TEST(ActorProtocolTest, StepWithCounterPastInt32IsProtocolError) {
+  const chord::ChordNetwork net = SmallRing();
+  const Host host(net, Host::Config{});
+  LookupStep step = StepAt(200);
+  step.cursor.attempt = -1;  // 0xFFFFFFFF on the wire
+  ExpectProtocolError(Deliver(host, 200, Encode(step)));
+  step = StepAt(200);
+  step.route.stale_forwards = -1;
   ExpectProtocolError(Deliver(host, 200, Encode(step)));
 }
 

@@ -6,13 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/random.h"
+#include "net/wire.h"
 #include "test_util.h"
 
 namespace peercache::net {
@@ -149,6 +152,58 @@ TEST(PeerCacheTest, TruncatedFileIsRejected) {
     f << "PC";  // not even a full header
   }
   EXPECT_FALSE(PeerCache::Open(path).ok());
+  std::remove(path.c_str());
+}
+
+// A header with a valid checksum still proves nothing about the file's
+// length: Open refuses a file shorter than the slots its header claims
+// before it sizes anything from that header.
+TEST(PeerCacheTest, ShortSlotRegionIsRefused) {
+  const std::string hostile = TempPath("hostile");
+  {
+    // Header only, claiming 2^24 slots of 2^16-entry lists (1.5 MB each).
+    std::vector<uint8_t> header;
+    ByteWriter w(header);
+    w.U32(0x31434350u);  // "PCC1"
+    w.U16(1);            // version
+    w.U16(0);            // reserved
+    w.U64(0x1234);       // salt
+    w.U32(1u << 24);     // slot_count
+    w.U32(1u << 16);     // aux_capacity
+    w.U32(1u << 16);     // freq_capacity
+    w.U32(Crc32(std::span<const uint8_t>(header)));
+    w.U64(0);  // pad to the 40-byte header
+    std::ofstream f(hostile, std::ios::binary);
+    f.write(reinterpret_cast<const char*>(header.data()),
+            static_cast<std::streamsize>(header.size()));
+  }
+  auto opened = PeerCache::Open(hostile);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
+  std::remove(hostile.c_str());
+
+  // A real file cut inside its slot region, then the same file with bytes
+  // past its last slot, which still opens.
+  const std::string path = TempPath("cut");
+  PeerCacheConfig config;
+  config.slot_count = 32;
+  const uintmax_t record_size =
+      24 + 8 * config.aux_capacity + 16 * config.freq_capacity;
+  const uintmax_t full_size = 40 + config.slot_count * record_size;
+  {
+    auto cache = PeerCache::Create(path, config);
+    ASSERT_TRUE(cache.ok());
+    ASSERT_TRUE(cache->Put(MakeRecord(7, 3, 3)).ok());
+  }
+  ASSERT_EQ(std::filesystem::file_size(path), full_size);
+  std::filesystem::resize_file(path, full_size - record_size / 2);
+  opened = PeerCache::Open(path);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
+  std::filesystem::resize_file(path, full_size + 100);
+  opened = PeerCache::Open(path);
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  EXPECT_EQ(opened->size(), 1u);
   std::remove(path.c_str());
 }
 

@@ -1,6 +1,7 @@
-// Wire-protocol properties: every message round-trips byte-exactly, and no
-// corruption of a valid frame — truncation at any byte, any single bit
-// flip, version/type/length tampering, trailing bytes — decodes
+// Wire-protocol properties: every message round-trips byte-exactly, every
+// payload Decode accepts under a re-sealed checksum re-encodes to itself,
+// and no corruption of a valid frame — truncation at any byte, any single
+// bit flip, version/type/length tampering, trailing bytes — decodes
 // successfully. Run under ASan/UBSan these properties also certify the
 // decoder never reads out of bounds.
 #include "net/wire.h"
@@ -20,6 +21,50 @@ namespace {
 
 using proptest::Case;
 using proptest::RunProperty;
+
+/// A counter anywhere in the u32 wire range: one of 2^31 or more decodes
+/// negative and must still re-encode to its own bytes.
+int DrawCount(Case& c, const char* name) {
+  return static_cast<int>(c.Range(name, 0, 0xFFFFFFFFu));
+}
+
+overlay::RouteResult DrawRoute(Case& c) {
+  overlay::RouteResult r;
+  r.success = c.Range("success", 0, 1) != 0;
+  r.budget_exhausted = c.Range("budget_exhausted", 0, 1) != 0;
+  r.destination = c.Range("destination", 0, ~uint64_t{0});
+  r.hops = DrawCount(c, "rhops");
+  r.aux_hops = DrawCount(c, "aux_hops");
+  r.retries = DrawCount(c, "retries");
+  r.dropped_forwards = DrawCount(c, "dropped_forwards");
+  r.failstop_skips = DrawCount(c, "failstop_skips");
+  r.stale_forwards = DrawCount(c, "stale_forwards");
+  r.latency_ms = c.Unit("latency") * 1e4;
+  const uint64_t n_path = c.Range("n_path", 0, 8);
+  for (uint64_t i = 0; i < n_path; ++i) {
+    r.path.push_back(c.Range("path", 0, ~uint64_t{0}));
+  }
+  const uint64_t n_evict = c.Range("n_evict", 0, 4);
+  for (uint64_t i = 0; i < n_evict; ++i) {
+    r.dead_evictions.emplace_back(c.Range("holder", 0, ~uint64_t{0}),
+                                  c.Range("entry", 0, ~uint64_t{0}));
+  }
+  return r;
+}
+
+std::vector<HopRecord> DrawHops(Case& c) {
+  std::vector<HopRecord> hops(c.Range("n_hops", 0, 8));
+  for (HopRecord& h : hops) {
+    h.from = c.Range("from", 0, ~uint64_t{0});
+    h.to = c.Range("to", 0, ~uint64_t{0});
+    h.remaining = c.Range("remaining", 0, ~uint64_t{0});
+    h.latency_ms = c.Unit("hop_latency") * 1e3;
+    h.kind = static_cast<HopEntryKind>(c.Range("hkind", 0, 5));
+    h.dropped = c.Range("dropped", 0, 1) != 0;
+    h.retried = c.Range("retried", 0, 1) != 0;
+  }
+  return hops;
+}
 
 AnyMessage DrawMessage(Case& c) {
   const uint64_t kind = c.Range("kind", 1, 6);
@@ -42,33 +87,13 @@ AnyMessage DrawMessage(Case& c) {
       m.cursor.current = c.Range("current", 0, ~uint64_t{0});
       m.cursor.key = c.Range("ckey", 0, ~uint64_t{0});
       m.cursor.truth = c.Range("truth", 0, ~uint64_t{0});
-      m.cursor.hops_taken = static_cast<uint32_t>(c.Range("hops_taken", 0, 300));
-      m.cursor.spent = static_cast<uint32_t>(c.Range("spent", 0, 300));
-      m.cursor.attempt = static_cast<uint32_t>(c.Range("attempt", 0, 300));
-      m.cursor.flags = static_cast<uint8_t>(c.Range("cflags", 0, 3));
-      m.route.flags = static_cast<uint8_t>(c.Range("rflags", 0, 3));
-      m.route.hops = static_cast<uint32_t>(c.Range("rhops", 0, 300));
-      m.route.latency_ms = c.Unit("latency") * 1e4;
-      const uint64_t n_path = c.Range("n_path", 0, 8);
-      for (uint64_t i = 0; i < n_path; ++i) {
-        m.route.path.push_back(c.Range("path", 0, ~uint64_t{0}));
-      }
-      const uint64_t n_evict = c.Range("n_evict", 0, 4);
-      for (uint64_t i = 0; i < n_evict; ++i) {
-        m.route.dead_evictions.emplace_back(c.Range("holder", 0, ~uint64_t{0}),
-                                            c.Range("entry", 0, ~uint64_t{0}));
-      }
-      const uint64_t n_hops = c.Range("n_hops", 0, 8);
-      for (uint64_t i = 0; i < n_hops; ++i) {
-        WireHop h;
-        h.from = c.Range("from", 0, ~uint64_t{0});
-        h.to = c.Range("to", 0, ~uint64_t{0});
-        h.remaining = c.Range("remaining", 0, ~uint64_t{0});
-        h.latency_ms = c.Unit("hop_latency") * 1e3;
-        h.kind = static_cast<uint8_t>(c.Range("hkind", 0, 5));
-        h.flags = static_cast<uint8_t>(c.Range("hflags", 0, 3));
-        m.hops.push_back(h);
-      }
+      m.cursor.hops_taken = DrawCount(c, "hops_taken");
+      m.cursor.spent = DrawCount(c, "spent");
+      m.cursor.attempt = DrawCount(c, "attempt");
+      m.cursor.latch = c.Range("latch", 0, 1) != 0;
+      m.resilient = c.Range("resilient", 0, 1) != 0;
+      m.route = DrawRoute(c);
+      m.hops = DrawHops(c);
       return m;
     }
     case 3: {
@@ -79,16 +104,8 @@ AnyMessage DrawMessage(Case& c) {
       m.key = c.Range("key", 0, ~uint64_t{0});
       m.status = static_cast<uint8_t>(c.Range("status", 0, 3));
       m.flags = static_cast<uint8_t>(c.Range("flags", 0, 1));
-      m.route.flags = static_cast<uint8_t>(c.Range("rflags", 0, 3));
-      m.route.destination = c.Range("destination", 0, ~uint64_t{0});
-      m.route.hops = static_cast<uint32_t>(c.Range("rhops", 0, 300));
-      m.route.aux_hops = static_cast<uint32_t>(c.Range("aux_hops", 0, 300));
-      m.route.retries = static_cast<uint32_t>(c.Range("retries", 0, 300));
-      m.route.latency_ms = c.Unit("latency") * 1e4;
-      const uint64_t n_path = c.Range("n_path", 0, 8);
-      for (uint64_t i = 0; i < n_path; ++i) {
-        m.route.path.push_back(c.Range("path", 0, ~uint64_t{0}));
-      }
+      m.route = DrawRoute(c);
+      m.hops = DrawHops(c);
       return m;
     }
     case 4: {
@@ -116,7 +133,7 @@ TEST(WireTest, EncodeDecodeRoundTrips) {
     const std::vector<uint8_t> frame = Encode(msg);
     auto decoded = Decode(std::span<const uint8_t>(frame));
     if (!decoded.ok()) return "decode failed: " + decoded.status().ToString();
-    if (!(decoded.value() == msg)) return "round trip changed the message";
+    if (Encode(decoded.value()) != frame) return "re-encoding changed bytes";
     return "";
   });
   EXPECT_TRUE(outcome.ok) << outcome.message << "\n  " << outcome.counterexample;
@@ -189,8 +206,8 @@ TEST(WireTest, UnknownTypeRejected) {
 TEST(WireTest, UnknownHopKindRejected) {
   LookupStep step;
   step.flags = LookupStep::kFlagTraced;
-  WireHop hop;
-  hop.kind = 200;  // beyond HopEntryKind::kBucket
+  HopRecord hop;
+  hop.kind = static_cast<HopEntryKind>(200);  // beyond kBucket
   step.hops.push_back(hop);
   const std::vector<uint8_t> frame = Encode(step);
   EXPECT_FALSE(Decode(std::span<const uint8_t>(frame)).ok());
@@ -224,31 +241,63 @@ std::string Hex(const std::vector<uint8_t>& bytes) {
 }
 
 /// STEP and DONE share this route state: 2 path entries, 1 eviction.
-WireRouteState GoldenRoute() {
-  WireRouteState s;
-  s.flags = WireRouteState::kFlagSuccess;
-  s.destination = 0x1122334455667788ULL;
-  s.hops = 3;
-  s.aux_hops = 1;
-  s.retries = 2;
-  s.dropped_forwards = 1;
-  s.failstop_skips = 4;
-  s.stale_forwards = 5;
-  s.latency_ms = 12.5;
-  s.path = {0xA1, 0xB2C3};
-  s.dead_evictions = {{0xD4, 0xE5F6}};
-  return s;
+overlay::RouteResult GoldenRoute() {
+  overlay::RouteResult r;
+  r.success = true;
+  r.destination = 0x1122334455667788ULL;
+  r.hops = 3;
+  r.aux_hops = 1;
+  r.retries = 2;
+  r.dropped_forwards = 1;
+  r.failstop_skips = 4;
+  r.stale_forwards = 5;
+  r.latency_ms = 12.5;
+  r.path = {0xA1, 0xB2C3};
+  r.dead_evictions = {{0xD4, 0xE5F6}};
+  return r;
 }
 
-WireHop GoldenHop() {
-  WireHop h;
+HopRecord GoldenHop() {
+  HopRecord h;
   h.from = 0x0102;
   h.to = 0x0304;
   h.remaining = 0x0506;
   h.latency_ms = 0.25;
-  h.kind = static_cast<uint8_t>(HopEntryKind::kAuxiliary);
-  h.flags = WireHop::kFlagRetried;
+  h.kind = HopEntryKind::kAuxiliary;
+  h.retried = true;
   return h;
+}
+
+/// The traced STEP and DONE that GoldenFrameBytes pins.
+LookupStep GoldenStep() {
+  LookupStep step;
+  step.lookup_id = 7;
+  step.client = kClientAddress;
+  step.origin = 0x42;
+  step.flags = LookupStep::kFlagTraced;
+  step.cursor.current = 0xA1;
+  step.cursor.key = 0xFEDC;
+  step.cursor.truth = 0xB2C3;
+  step.cursor.hops_taken = 2;
+  step.cursor.spent = 3;
+  step.cursor.attempt = 1;
+  step.cursor.latch = true;
+  step.route = GoldenRoute();
+  step.hops = {GoldenHop()};
+  return step;
+}
+
+LookupDone GoldenDone() {
+  LookupDone done;
+  done.lookup_id = 7;
+  done.client = kClientAddress;
+  done.origin = 0x42;
+  done.key = 0xFEDC;
+  done.status = static_cast<uint8_t>(LookupWireStatus::kOk);
+  done.flags = LookupDone::kFlagTraced;
+  done.route = GoldenRoute();
+  done.hops = {GoldenHop()};
+  return done;
 }
 
 // Pins the wire format: one frame of each type with fixed field values. A
@@ -264,21 +313,7 @@ TEST(WireTest, GoldenFrameBytes) {
             "504357310100010021000000d662936fefcdab8967452301ffffffffffffffff"
             "42000000000000001032547698badcfe01");
 
-  LookupStep step;
-  step.lookup_id = 7;
-  step.client = kClientAddress;
-  step.origin = 0x42;
-  step.flags = LookupStep::kFlagTraced;
-  step.cursor.current = 0xA1;
-  step.cursor.key = 0xFEDC;
-  step.cursor.truth = 0xB2C3;
-  step.cursor.hops_taken = 2;
-  step.cursor.spent = 3;
-  step.cursor.attempt = 1;
-  step.cursor.flags = WireCursor::kFlagNumericMode;
-  step.route = GoldenRoute();
-  step.hops = {GoldenHop()};
-  EXPECT_EQ(Hex(Encode(step)),
+  EXPECT_EQ(Hex(Encode(GoldenStep())),
             "5043573101000200b50000008895dc5e0700000000000000ffffffffffffffff"
             "420000000000000001a100000000000000dcfe000000000000c3b20000000000"
             "0002000000030000000100000002018877665544332211030000000100000002"
@@ -287,16 +322,7 @@ TEST(WireTest, GoldenFrameBytes) {
             "0000000201000000000000040300000000000006050000000000000000000000"
             "00d03f0402");
 
-  LookupDone done;
-  done.lookup_id = 7;
-  done.client = kClientAddress;
-  done.origin = 0x42;
-  done.key = 0xFEDC;
-  done.status = static_cast<uint8_t>(LookupWireStatus::kOk);
-  done.flags = LookupDone::kFlagTraced;
-  done.route = GoldenRoute();
-  done.hops = {GoldenHop()};
-  EXPECT_EQ(Hex(Encode(done)),
+  EXPECT_EQ(Hex(Encode(GoldenDone())),
             "5043573101000300990000007bc0c1d30700000000000000ffffffffffffffff"
             "4200000000000000dcfe00000000000000010188776655443322110300000001"
             "00000002000000010000000400000005000000000000000000294002000000a1"
@@ -310,6 +336,45 @@ TEST(WireTest, GoldenFrameBytes) {
             "5043573101000500090000006e4a6aeb990000000000000001");
   EXPECT_EQ(Hex(Encode(Stabilize{kAllNodes})),
             "504357310100060008000000f9e77bf8ffffffffffffffff");
+}
+
+// Every frame Decode accepts re-encodes to itself, so no byte of a STEP or
+// DONE is silently rewritten on its way through an actor. Each payload
+// byte of the golden frames takes each of its 256 values under a re-sealed
+// checksum: the decoder rejects the frame (an unknown flag bit, hop kind
+// or status, a count that no longer fits) or returns a message whose
+// encoding is exactly the mutated bytes.
+TEST(WireTest, AcceptedMutationsReEncodeExactly) {
+  for (const AnyMessage& golden : {AnyMessage{GoldenStep()},
+                                   AnyMessage{GoldenDone()}}) {
+    const std::vector<uint8_t> frame = Encode(golden);
+    size_t accepted = 0;
+    for (size_t at = kWireHeaderSize; at < frame.size(); ++at) {
+      for (int value = 0; value < 256; ++value) {
+        std::vector<uint8_t> mutated = frame;
+        mutated[at] = static_cast<uint8_t>(value);
+        const std::span<const uint8_t> bytes(mutated);
+        const uint32_t crc = Crc32(bytes.subspan(kWireHeaderSize),
+                                   Crc32(bytes.subspan(4, 8)));
+        for (int i = 0; i < 4; ++i) {
+          mutated[12 + i] = static_cast<uint8_t>(crc >> (8 * i));
+        }
+        auto decoded = Decode(bytes);
+        if (!decoded.ok()) continue;
+        ++accepted;
+        const std::vector<uint8_t> again = Encode(decoded.value());
+        if (again != mutated) {
+          FAIL() << "type " << golden.index() << " byte " << at << " value "
+                 << value << ": " << Hex(mutated) << " re-encodes as "
+                 << Hex(again);
+        }
+      }
+    }
+    // Ids, counters and latency bits take any value, so most mutations
+    // decode: the property is not vacuous.
+    EXPECT_GT(accepted, (frame.size() - kWireHeaderSize) * 200)
+        << "type " << golden.index();
+  }
 }
 
 /// Bit-at-a-time CRC-32 straight from the definition (reflected IEEE
@@ -363,36 +428,6 @@ TEST(WireTest, Crc32MatchesBitwiseReference) {
           << "len " << len << " split " << split;
     }
   }
-}
-
-TEST(WireTest, RouteStatePackUnpackIsExact) {
-  overlay::RouteResult r;
-  r.success = true;
-  r.destination = 0xdeadbeefULL;
-  r.hops = 7;
-  r.aux_hops = 2;
-  r.latency_ms = 123.4567891011;
-  r.path = {1, 2, 3};
-  r.retries = 4;
-  r.dropped_forwards = 1;
-  r.failstop_skips = 2;
-  r.stale_forwards = 1;
-  r.budget_exhausted = false;
-  r.dead_evictions = {{9, 10}};
-  overlay::RouteResult back;
-  UnpackRouteState(PackRouteState(r), back);
-  EXPECT_EQ(back.success, r.success);
-  EXPECT_EQ(back.destination, r.destination);
-  EXPECT_EQ(back.hops, r.hops);
-  EXPECT_EQ(back.aux_hops, r.aux_hops);
-  EXPECT_EQ(back.latency_ms, r.latency_ms);  // bit pattern travels
-  EXPECT_EQ(back.path, r.path);
-  EXPECT_EQ(back.retries, r.retries);
-  EXPECT_EQ(back.dropped_forwards, r.dropped_forwards);
-  EXPECT_EQ(back.failstop_skips, r.failstop_skips);
-  EXPECT_EQ(back.stale_forwards, r.stale_forwards);
-  EXPECT_EQ(back.budget_exhausted, r.budget_exhausted);
-  EXPECT_EQ(back.dead_evictions, r.dead_evictions);
 }
 
 }  // namespace
