@@ -2,6 +2,7 @@
 #define PEERCACHE_AUXSEL_SELECTION_TYPES_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -43,8 +44,16 @@ struct Selection {
 };
 
 /// Validates a SelectionInput: ids in range, peers distinct, self excluded,
-/// k >= 0, frequencies finite and nonnegative. O(|V| log |V|).
+/// k >= 0, frequencies finite and nonnegative. O(|V| log |V|); with empty
+/// `peers`, the node's own fields (bits, k, self_id, core ids) in O(|N|).
 Status ValidateInput(const SelectionInput& input);
+
+/// Validates a peer pool shared by many selecting nodes, once: bits in
+/// [1, 64], every id below 2^bits, ids distinct, frequencies finite and
+/// nonnegative. Fails with ValidateInput's InvalidArgument for the same
+/// faults; the pool may hold the selecting nodes themselves.
+/// O(|pool| log |pool|).
+Status ValidatePool(std::span<const PeerFreq> pool, int bits);
 
 /// One element of V ∪ N_s: a peer, a core neighbor, or a core the node has
 /// also seen queries for. A core outside V has frequency 0 and no bound.
@@ -62,32 +71,38 @@ struct ViewEntry {
 /// O((|V| + |N|) log (|V| + |N|)).
 Result<std::vector<ViewEntry>> SortedView(const SelectionInput& input);
 
-/// Evaluates paper Eq. 1 for Pastry's distance estimate d_uv = b - lcp(u,v):
-/// Σ_v f_v (1 + min_{w ∈ N ∪ aux} (b - lcp(v, w))), with the convention
-/// d(v, ∅) = b. O(|V| · (|N| + |aux|)) reference implementation used by
-/// tests and for reporting; selectors compute the same value internally via
-/// the trie decomposition.
+// The Eq. 1 evaluators below sum Σ_v f_v (1 + min_{w ∈ N ∪ aux} d(w, v))
+// over `input.peers` in input order, with d(v, ∅) = b. Each sorts N ∪ aux
+// once and finds every peer's nearest neighbour by binary search, so an
+// evaluation costs O((|V| + |W|) log |W|) for W = N ∪ aux; a peer whose
+// frequency compares equal to 0 adds +0.0 and is skipped. Every value is
+// bit-identical to the O(|V| · |W|) scan over all of W
+// (selection_types_test keeps that scan as the oracle).
+
+/// Eq. 1 for Pastry's distance estimate d_wv = b - lcp(w, v). The w sharing
+/// the longest prefix with v is v's predecessor or successor in id order.
+/// Selectors compute the same value internally via the trie decomposition.
 double EvaluatePastryCost(const SelectionInput& input,
                           const std::vector<uint64_t>& aux);
 
-/// Evaluates paper Eq. 1 for Chord's distance estimate
-/// d_wv = bitlen((v - w) mod 2^b): Σ_v f_v (1 + min_{w ∈ N ∪ aux} d_wv),
-/// with d(v, ∅) = b. Neighbors clockwise past v contribute bitlen close to b
-/// and lose the min automatically, matching the Chord routing policy.
+/// Eq. 1 for Chord's distance estimate d_wv = bitlen((v - w) mod 2^b) for
+/// w clockwise between self and v, and d_wv = b for a neighbor past v,
+/// matching the Chord routing policy. The best w is the one with the largest
+/// cw(self, w) <= cw(self, v).
 double EvaluateChordCost(const SelectionInput& input,
                          const std::vector<uint64_t>& aux);
 
-/// Evaluates paper Eq. 1 for Kademlia's distance estimate
-/// d_wv = bitlen(w XOR v): Σ_v f_v (1 + min_{w ∈ N ∪ aux} d_wv), with
-/// d(v, ∅) = b. Since bitlen(w XOR v) = b - lcp(w, v), this is the Pastry
-/// estimate re-derived in the XOR metric — the identity that lets the
-/// trie-shaped selection machinery serve both geometries (see
-/// docs/ALGORITHMS.md).
+/// Eq. 1 for Kademlia's distance estimate d_wv = bitlen(w XOR v), smallest
+/// at v's predecessor or successor in id order. Since bitlen(w XOR v) =
+/// b - lcp(w, v), this is the Pastry estimate re-derived in the XOR metric —
+/// the identity that lets the trie-shaped selection machinery serve both
+/// geometries (see docs/ALGORITHMS.md).
 double EvaluateKademliaCost(const SelectionInput& input,
                             const std::vector<uint64_t>& aux);
 
 /// True iff every delay bound in `input.peers` is met by N ∪ aux under the
-/// Pastry distance estimate.
+/// Pastry distance estimate. The three QoS checks find each bounded peer's
+/// nearest neighbour as the evaluators do.
 bool PastryQosSatisfied(const SelectionInput& input,
                         const std::vector<uint64_t>& aux);
 

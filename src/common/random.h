@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace peercache {
@@ -107,14 +108,19 @@ class Rng {
   /// Bernoulli trial with success probability p in [0, 1].
   bool Bernoulli(double p) { return UniformDouble() < p; }
 
-  /// Fisher-Yates shuffle.
+  /// Fisher-Yates shuffle, backward: UniformU64(i) for i = size … 2, so an
+  /// empty or one-element range draws nothing.
   template <typename T>
-  void Shuffle(std::vector<T>& v) {
+  void Shuffle(std::span<T> v) {
     for (size_t i = v.size(); i > 1; --i) {
       size_t j = static_cast<size_t>(UniformU64(i));
       using std::swap;
       swap(v[i - 1], v[j]);
     }
+  }
+  template <typename T>
+  void Shuffle(std::vector<T>& v) {
+    Shuffle(std::span<T>(v));
   }
 
   /// Draws `count` distinct uint64 ids, each < bound. count must not exceed

@@ -5,6 +5,7 @@
 #include <functional>
 #include <iterator>
 #include <limits>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -26,7 +27,6 @@ namespace {
 using auxsel::SelectionInput;
 using internal::ObliviousPool;
 using internal::PhaseTimer;
-using internal::PoolWithoutSelf;
 
 /// True for the selectors that optimize over the node's observed
 /// frequencies (kQos is kOptimal plus RTT-derived delay bounds). An arm
@@ -39,28 +39,24 @@ bool FrequencyAware(SelectorKind selector) {
 }
 
 /// Fills the rest of a node's budget `k` with oblivious picks from the
-/// round's pool (minus the node itself), never repeating a core neighbor or
-/// a peer already in `chosen`. A frequency-aware selection that saw fewer
+/// round's validated pool, never the node itself, one of its `cores` or a
+/// peer already in `chosen`. A frequency-aware selection that saw fewer
 /// usable peers than k (common early under churn, where few queries have
 /// been seen between recomputations) still installs k pointers, which is
-/// what the paper's comparison assumes. A failed draw leaves `chosen` as it
-/// is.
+/// what the paper's comparison assumes. The round validated the pool and
+/// `node_id` is a live id of the overlay, so the draw cannot fail.
 template <typename Policy>
-void PadWithOblivious(const typename Policy::Network& net, uint64_t node_id,
-                      int k, const std::vector<auxsel::PeerFreq>& peer_pool,
-                      Rng& rng, std::vector<uint64_t>& chosen) {
+void PadWithOblivious(std::span<const auxsel::PeerFreq> peer_pool,
+                      uint64_t node_id, int bits, int k,
+                      const std::vector<uint64_t>& cores, Rng& rng,
+                      std::vector<uint64_t>& chosen) {
   if (static_cast<int>(chosen.size()) >= k) return;
-  SelectionInput pad;
-  pad.bits = net.params().bits;
-  pad.self_id = node_id;
-  pad.k = k - static_cast<int>(chosen.size());
-  pad.core_ids = net.CoreNeighborIds(node_id);
-  pad.core_ids.insert(pad.core_ids.end(), chosen.begin(), chosen.end());
-  pad.peers = PoolWithoutSelf(peer_pool, node_id);
-  Result<auxsel::Selection> extra = Policy::SelectOblivious(pad, rng);
-  if (extra.ok()) {
-    chosen.insert(chosen.end(), extra->chosen.begin(), extra->chosen.end());
-  }
+  std::vector<uint64_t> excluded = cores;
+  excluded.insert(excluded.end(), chosen.begin(), chosen.end());
+  const std::vector<uint64_t> extra = Policy::DrawOblivious(
+      peer_pool, node_id, excluded, k - static_cast<int>(chosen.size()), bits,
+      rng);
+  chosen.insert(chosen.end(), extra.begin(), extra.end());
 }
 
 /// Builds the SelectionInput for one node and computes the chosen
@@ -68,10 +64,12 @@ void PadWithOblivious(const typename Policy::Network& net, uint64_t node_id,
 /// the parallel round — SetAuxiliaries writes the shared table arena, which
 /// has a single-writer contract). The frequency-aware policies optimize
 /// over the node's observed frequencies; the oblivious policy draws from
-/// `peer_pool`, the shared snapshot of the full live membership built once
-/// per selection round (it needs no query history, matching the paper's
-/// baseline). Runs concurrently for distinct nodes: it reads the overlay,
-/// reads its own node's frequency table, and writes only its own slots.
+/// `peer_pool`, the shared snapshot of the full live membership built and
+/// validated once per selection round (it needs no query history, matching
+/// the paper's baseline). The oblivious arm checks only this node's own
+/// fields, in O(|N|), and computes no Eq. 1 cost: nothing reads it. Runs
+/// concurrently for distinct nodes: it reads the overlay, reads its own
+/// node's frequency table, and writes only its own slots.
 ///
 /// SelectorKind::kQos additionally consults `latency`: observed peers whose
 /// base RTT from this node exceeds `config.qos_rtt_threshold_ms` get
@@ -92,7 +90,7 @@ Status InstallAuxiliaries(typename Policy::Network& net, uint64_t node_id,
                           SelectorKind selector, const ExperimentConfig& config,
                           const latency::LatencyModel* latency,
                           Rng& selection_rng,
-                          const std::vector<auxsel::PeerFreq>& peer_pool,
+                          std::span<const auxsel::PeerFreq> peer_pool,
                           int k_budget, std::vector<uint64_t>& chosen_out,
                           double* predicted_hops = nullptr) {
   chosen_out.clear();
@@ -111,48 +109,50 @@ Status InstallAuxiliaries(typename Policy::Network& net, uint64_t node_id,
   input.k = k_budget;
   input.core_ids = net.CoreNeighborIds(node_id);
 
+  if (!FrequencyAware(selector)) {
+    // `input.peers` is empty: this checks bits, k, self_id and the cores.
+    if (Status s = auxsel::ValidateInput(input); !s.ok()) return s;
+    chosen_out = Policy::DrawOblivious(peer_pool, node_id, input.core_ids,
+                                       k_budget, input.bits, selection_rng);
+    return Status::Ok();
+  }
+
+  input.peers = node->frequencies.Snapshot(node_id);
   Result<auxsel::Selection> sel = [&]() -> Result<auxsel::Selection> {
-    if (FrequencyAware(selector)) {
-      input.peers = node->frequencies.Snapshot(node_id);
-      if (selector == SelectorKind::kQos && latency != nullptr &&
-          config.qos_rtt_threshold_ms > 0.0) {
-        for (auxsel::PeerFreq& p : input.peers) {
-          if (latency->BaseRttMs(node_id, p.id) > config.qos_rtt_threshold_ms) {
-            p.delay_bound = config.qos_delay_bound;
-          }
+    if (selector == SelectorKind::kQos && latency != nullptr &&
+        config.qos_rtt_threshold_ms > 0.0) {
+      for (auxsel::PeerFreq& p : input.peers) {
+        if (latency->BaseRttMs(node_id, p.id) > config.qos_rtt_threshold_ms) {
+          p.delay_bound = config.qos_delay_bound;
         }
-        Result<auxsel::Selection> qos = Policy::SelectQos(input);
-        if (qos.ok() || qos.status().code() != StatusCode::kInfeasible) {
-          return qos;
-        }
-        // Bounds unmeetable with k pointers at this node: route the
-        // latency-heavy peers like everyone else rather than failing the
-        // whole run.
-        for (auxsel::PeerFreq& p : input.peers) p.delay_bound = -1;
       }
-      return Policy::SelectOptimal(input);
+      Result<auxsel::Selection> qos = Policy::SelectQos(input);
+      if (qos.ok() || qos.status().code() != StatusCode::kInfeasible) {
+        return qos;
+      }
+      // Bounds unmeetable with k pointers at this node: route the
+      // latency-heavy peers like everyone else rather than failing the
+      // whole run.
+      for (auxsel::PeerFreq& p : input.peers) p.delay_bound = -1;
     }
-    input.peers = PoolWithoutSelf(peer_pool, node_id);
-    return Policy::SelectOblivious(input, selection_rng);
+    return Policy::SelectOptimal(input);
   }();
   if (!sel.ok()) return sel.status();
 
-  if (predicted_hops != nullptr && FrequencyAware(selector)) {
+  if (predicted_hops != nullptr) {
     double total_freq = 0.0;
     for (const auxsel::PeerFreq& p : input.peers) total_freq += p.frequency;
     if (total_freq > 0.0) *predicted_hops = sel->cost / total_freq;
   }
 
   chosen_out = std::move(sel->chosen);
-  if (FrequencyAware(selector)) {
-    PadWithOblivious<Policy>(net, node_id, k_budget, peer_pool, selection_rng,
-                             chosen_out);
-  }
+  PadWithOblivious<Policy>(peer_pool, node_id, input.bits, k_budget,
+                           input.core_ids, selection_rng, chosen_out);
   return Status::Ok();
 }
 
-/// One full-rebuild selection round over `ids`: builds the shared
-/// frequency-oblivious pool once, sizes the per-node prediction slots,
+/// One full-rebuild selection round over `ids`: builds and validates the
+/// shared frequency-oblivious pool once, sizes the per-node prediction slots,
 /// computes every node's selection in parallel into index-addressed slots,
 /// then installs them serially in node order (the table arena's
 /// single-writer contract — and serial installs make arena layout, hence
@@ -165,14 +165,16 @@ Status InstallRound(ThreadPool& pool, typename Policy::Network& net,
                     const ExperimentConfig& config,
                     const latency::LatencyModel* latency, uint64_t round_seed,
                     std::vector<double>& predicted) {
-  const std::vector<auxsel::PeerFreq> peer_pool = ObliviousPool(ids);
+  const Result<std::vector<auxsel::PeerFreq>> peer_pool =
+      ObliviousPool(ids, net.params().bits);
+  if (!peer_pool.ok()) return peer_pool.status();
   const std::vector<int> budgets = ComputeAuxiliaryBudgets(config, ids);
   predicted.assign(ids.size(), std::numeric_limits<double>::quiet_NaN());
   std::vector<std::vector<uint64_t>> chosen(ids.size());
   if (Status s = internal::ParallelInstall(
           pool, ids, round_seed, [&](size_t i, uint64_t id, Rng& rng) {
             return InstallAuxiliaries<Policy>(net, id, selector, config,
-                                              latency, rng, peer_pool,
+                                              latency, rng, peer_pool.value(),
                                               budgets[i], chosen[i],
                                               &predicted[i]);
           });
@@ -248,7 +250,7 @@ template <typename Policy>
 Status MaintainNode(typename Policy::Network& net,
                     MaintenanceState<Policy>& maint, uint64_t node_id,
                     int k, bool audit_round,
-                    const std::vector<auxsel::PeerFreq>& peer_pool, Rng& rng,
+                    std::span<const auxsel::PeerFreq> peer_pool, Rng& rng,
                     std::vector<uint64_t>& chosen_out, double* predicted_hops,
                     NodeDeltaCounts& counts) {
   chosen_out.clear();
@@ -321,7 +323,8 @@ Status MaintainNode(typename Policy::Network& net,
 
   // 3. Core-neighbor set as of the last stabilization: the DHT's tables,
   //    not the selector, decide core membership.
-  Result<size_t> changed = m.SetCores(net.CoreNeighborIds(node_id));
+  const std::vector<uint64_t> cores = net.CoreNeighborIds(node_id);
+  Result<size_t> changed = m.SetCores(cores);
   if (!changed.ok()) return changed.status();
   counts.core_deltas += changed.value();
 
@@ -348,7 +351,8 @@ Status MaintainNode(typename Policy::Network& net,
 
   // 6. Pad to k with oblivious picks, exactly like the one-shot path.
   chosen_out = sel->chosen;
-  PadWithOblivious<Policy>(net, node_id, k, peer_pool, rng, chosen_out);
+  PadWithOblivious<Policy>(peer_pool, node_id, net.params().bits, k, cores,
+                           rng, chosen_out);
   return Status::Ok();
 }
 
@@ -385,7 +389,9 @@ Status MaintainRound(ThreadPool& pool, typename Policy::Network& net,
       config.maintenance_audit_period > 0 &&
       round_index % static_cast<uint64_t>(config.maintenance_audit_period) ==
           0;
-  const std::vector<auxsel::PeerFreq> peer_pool = ObliviousPool(live);
+  const Result<std::vector<auxsel::PeerFreq>> peer_pool =
+      ObliviousPool(live, net.params().bits);
+  if (!peer_pool.ok()) return peer_pool.status();
   predicted.assign(live.size(), std::numeric_limits<double>::quiet_NaN());
   std::vector<NodeDeltaCounts> counts(live.size());
   std::vector<std::vector<uint64_t>> chosen(live.size());
@@ -393,7 +399,7 @@ Status MaintainRound(ThreadPool& pool, typename Policy::Network& net,
           pool, live, round_seed,
           [&](size_t i, uint64_t id, Rng& rng) {
             return MaintainNode<Policy>(net, maint, id, config.k, audit_round,
-                                        peer_pool, rng, chosen[i],
+                                        peer_pool.value(), rng, chosen[i],
                                         &predicted[i], counts[i]);
           });
       !s.ok()) {

@@ -5,6 +5,7 @@
 
 #include "auxsel/chord_maintainer.h"
 #include "auxsel/maintainer.h"
+#include "auxsel/oblivious.h"
 #include "auxsel/pastry_maintainer.h"
 #include "auxsel/selection_types.h"
 #include "chord/chord_network.h"
@@ -54,6 +55,10 @@ struct SeedPlan {
 ///                      auxiliary-selection algorithms (paper Sec. IV/V;
 ///                      SelectQos honors per-peer delay bounds and returns
 ///                      kInfeasible when they cannot be met);
+///   * `DrawOblivious` — the oblivious baseline's draw alone
+///                      (auxsel/oblivious.h), which the engine runs on its
+///                      round's validated pool: no copy, no validation, no
+///                      Eq. 1 cost;
 ///   * `Maintainer` / `MakeMaintainer` — the backend's persistent
 ///                      incremental selector state (auxsel/maintainer.h),
 ///                      one instance per node, surviving churn rounds.
@@ -75,6 +80,7 @@ struct ChordPolicy {
       const auxsel::SelectionInput& input);
   static Result<auxsel::Selection> SelectOblivious(
       const auxsel::SelectionInput& input, Rng& rng);
+  static constexpr auto DrawOblivious = &auxsel::DrawChordOblivious;
   static Result<auxsel::Selection> SelectQos(
       const auxsel::SelectionInput& input);
 };
@@ -93,6 +99,7 @@ struct PastryPolicy {
       const auxsel::SelectionInput& input);
   static Result<auxsel::Selection> SelectOblivious(
       const auxsel::SelectionInput& input, Rng& rng);
+  static constexpr auto DrawOblivious = &auxsel::DrawPastryOblivious;
   static Result<auxsel::Selection> SelectQos(
       const auxsel::SelectionInput& input);
 };
@@ -115,6 +122,7 @@ struct KademliaPolicy {
       const auxsel::SelectionInput& input);
   static Result<auxsel::Selection> SelectOblivious(
       const auxsel::SelectionInput& input, Rng& rng);
+  static constexpr auto DrawOblivious = &auxsel::DrawKademliaOblivious;
   static Result<auxsel::Selection> SelectQos(
       const auxsel::SelectionInput& input);
 };

@@ -48,28 +48,19 @@ class PhaseTimer {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// Builds the frequency-oblivious candidate pool once per selection round:
-/// every live id with zero frequency. The pool is shared (read-only) by all
-/// per-node selection tasks; each node drops itself via PoolWithoutSelf
-/// instead of rebuilding the whole vector element-by-element.
-inline std::vector<auxsel::PeerFreq> ObliviousPool(
-    const std::vector<uint64_t>& live_ids) {
+/// Builds the frequency-oblivious candidate pool once per selection round
+/// and validates it once (auxsel::ValidatePool): every live id, in
+/// `live_ids` order, with zero frequency. The pool is shared (read-only) by
+/// all per-node selection tasks, which draw from it in place and skip
+/// themselves (Policy::DrawOblivious), so no task copies or re-checks it.
+/// A repeated or out-of-range id fails the round with InvalidArgument.
+inline Result<std::vector<auxsel::PeerFreq>> ObliviousPool(
+    const std::vector<uint64_t>& live_ids, int bits) {
   std::vector<auxsel::PeerFreq> pool;
   pool.reserve(live_ids.size());
   for (uint64_t id : live_ids) pool.push_back({id, 0.0, -1});
+  if (Status s = auxsel::ValidatePool(pool, bits); !s.ok()) return s;
   return pool;
-}
-
-/// One bulk copy of the shared pool minus the selecting node.
-inline std::vector<auxsel::PeerFreq> PoolWithoutSelf(
-    const std::vector<auxsel::PeerFreq>& pool, uint64_t self_id) {
-  std::vector<auxsel::PeerFreq> peers = pool;
-  auto it = std::find_if(peers.begin(), peers.end(),
-                         [self_id](const auxsel::PeerFreq& p) {
-                           return p.id == self_id;
-                         });
-  if (it != peers.end()) peers.erase(it);
-  return peers;
 }
 
 /// Runs `install(index, node_id, rng)` for every node with an independent
