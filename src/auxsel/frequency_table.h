@@ -1,14 +1,12 @@
 #ifndef PEERCACHE_AUXSEL_FREQUENCY_TABLE_H_
 #define PEERCACHE_AUXSEL_FREQUENCY_TABLE_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
+#include <memory>
 #include <vector>
 
 #include "auxsel/selection_types.h"
-#include "common/count_min.h"
-#include "common/top_n.h"
 
 namespace peercache::auxsel {
 
@@ -30,8 +28,11 @@ struct FreqSketchParams {
 /// selection.
 ///
 /// Three modes:
-///  * exact (capacity == 0, sketch off): exact counts in a hash map, with
-///    optional exponential decay so the table tracks shifting popularity;
+///  * exact (capacity == 0, sketch off): exact counts, with optional
+///    exponential decay so the table tracks shifting popularity. The counts
+///    live in one power-of-two open-addressing array whose slots hold id,
+///    weight and a dirty mark, linearly probed at load at most 1/2 and
+///    emptied by backward-shift deletion (no tombstones, no reserved id);
 ///  * bounded (capacity > 0): the Space-Saving top-n summary the paper
 ///    suggests for storage-limited nodes — the resulting selection may be
 ///    slightly suboptimal because tail peers are dropped (studied in
@@ -45,18 +46,31 @@ struct FreqSketchParams {
 ///    configuration time regardless of how many peers are observed
 ///    (quantified in bench/freq_sketch; error model in docs/ALGORITHMS.md).
 ///
-/// The table also keeps a dirty set of peers whose weight changed since the
-/// last `DrainDirty()`, which is what lets an incremental maintainer
+/// The bounded and sketch summaries, their parameters and their dirty set
+/// are allocated out of line and only in those modes, so an exact-mode
+/// table that has recorded nothing owns no heap memory.
+///
+/// The table also tracks the peers whose weight changed since the last
+/// `DrainDirty()`, which is what lets an incremental maintainer
 /// (auxsel/maintainer.h) apply only the per-round frequency deltas instead
-/// of re-reading the whole table. Summary evictions dirty the victim too:
-/// its estimate silently dropped to zero, and a maintainer that missed the
-/// eviction would otherwise keep the stale weight forever.
+/// of re-reading the whole table. `Record` and `Decay` dirty every peer they
+/// touch. `Forget` dirties the peer only when its weight changed: exact
+/// mode removed its entry, bounded mode reset its tracked slot, sketch mode
+/// zeroed a nonzero estimate; forgetting a peer the table does not hold
+/// reports nothing. Summary evictions dirty the victim too: its estimate
+/// silently dropped to zero, and a maintainer that missed the eviction
+/// would otherwise keep the stale weight forever.
 class FrequencyTable {
  public:
   /// capacity == 0 keeps exact counts for every peer ever seen. When
   /// `sketch.enabled()`, the sketch mode takes precedence over `capacity`.
   explicit FrequencyTable(size_t capacity = 0,
                           const FreqSketchParams& sketch = {});
+  FrequencyTable(const FrequencyTable&) = delete;
+  FrequencyTable& operator=(const FrequencyTable&) = delete;
+  FrequencyTable(FrequencyTable&&) noexcept;
+  FrequencyTable& operator=(FrequencyTable&&) noexcept;
+  ~FrequencyTable();
 
   /// Records one query answered by `peer_id`.
   void Record(uint64_t peer_id, uint64_t weight = 1);
@@ -70,7 +84,8 @@ class FrequencyTable {
   /// then Forget returns false so the caller knows to push a frequency-zero
   /// update into any selector state derived from this table. Either way,
   /// subsequent Records start from zero: a drain after Forget always yields
-  /// absolute weights, never the pre-Forget count.
+  /// absolute weights, never the pre-Forget count. The peer is dirtied only
+  /// when its weight changed (see the class comment).
   bool Forget(uint64_t peer_id);
 
   /// Multiplies every exact count by `factor` in (0, 1]; lets long-running
@@ -86,21 +101,26 @@ class FrequencyTable {
   /// Current weight estimate for one peer (0 if untracked).
   double ObservedWeight(uint64_t peer_id) const;
 
-  /// Returns the sorted ids whose weight changed since the last drain, and
-  /// clears the dirty set. Pair with `ObservedWeight` to turn the table's
-  /// mutations into selector deltas.
+  /// Returns the sorted, distinct ids whose weight may have changed since
+  /// the last drain, and clears the dirty marks. Pair with `ObservedWeight`
+  /// to turn the table's mutations into selector deltas.
   std::vector<uint64_t> DrainDirty();
 
   /// Exports the table as selector input peers. Never includes
-  /// `exclude_self`. In sketch mode the entries are the heavy-hitter
-  /// summary with zero-weight slots skipped, ordered by weight descending
-  /// with ties broken by ascending id — deterministic at any thread count.
+  /// `exclude_self`. Exact mode lists its entries in slot order, which
+  /// depends on the insertion history: consumers that need an order sort
+  /// (the selectors read through an id-sorted view). In sketch mode the
+  /// entries are the heavy-hitter summary with zero-weight slots skipped,
+  /// ordered by weight descending with ties broken by ascending id —
+  /// deterministic at any thread count.
   std::vector<PeerFreq> Snapshot(uint64_t exclude_self) const;
 
   void Clear();
 
-  bool sketch_enabled() const { return sketch_params_.enabled(); }
-  const FreqSketchParams& sketch_params() const { return sketch_params_; }
+  bool sketch_enabled() const;
+  /// The configured sketch parameters; a table built without a summary
+  /// (exact mode) reports the disabled defaults.
+  const FreqSketchParams& sketch_params() const;
 
   /// Modeled per-node footprint of the frequency summary, in bytes. The
   /// model is platform-invariant so telemetry stays bit-identical across
@@ -118,17 +138,30 @@ class FrequencyTable {
   static constexpr size_t kTableOverheadBytes = 64;
 
  private:
-  enum class Mode { kExact, kBounded, kSketch };
+  /// One cell of the exact-mode array. `state` tells an empty cell from an
+  /// occupied one, so every id, 0 included, can be stored.
+  struct Slot {
+    uint64_t id = 0;
+    double weight = 0.0;
+    uint8_t state = 0;  // kEmpty, kClean or kDirty (frequency_table.cc)
+  };
+  /// Bounded or sketch summary (frequency_table.cc).
+  struct Summary;
 
-  Mode mode_;
-  size_t capacity_;
-  FreqSketchParams sketch_params_;
-  std::unordered_map<uint64_t, double> exact_;
-  SpaceSaving bounded_;
-  SpaceSavingFlat top_;
-  CountMinSketch cm_;
-  std::unordered_set<uint64_t> dirty_;
+  size_t Home(uint64_t id) const;
+  /// The cell holding `id`, or the empty cell that ends its probe run.
+  /// Requires a non-empty array.
+  size_t Find(uint64_t id) const;
+  void MarkDirty(Slot& slot);
+  void Grow();
+  void EraseCell(size_t hole);
+
+  std::vector<Slot> slots_;      // exact mode; empty until the first Record
+  std::vector<uint64_t> dirty_;  // exact mode; may repeat until drained
+  size_t size_ = 0;              // occupied slots
+  int shift_ = 64;               // 64 - log2(slots_.size())
   uint64_t total_ = 0;
+  std::unique_ptr<Summary> summary_;  // null in exact mode
 };
 
 }  // namespace peercache::auxsel

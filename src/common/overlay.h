@@ -256,6 +256,10 @@ class OverlayBase {
   bool IsAlive(uint64_t id) const { return store_.IsAlive(id); }
   size_t live_count() const { return store_.live_count(); }
   std::vector<uint64_t> LiveNodeIds() const { return store_.live_ids(); }
+  /// The sorted live ids without a copy. The view is invalidated by the
+  /// next membership change (AddNode, RemoveNode, RejoinNode, BulkAdd), so
+  /// hold it only where membership cannot change; LiveNodeIds() copies.
+  std::span<const uint64_t> LiveIdsView() const { return store_.live_ids(); }
 
   /// Node record (alive or departed); nullptr if the id was never added.
   Node* GetNode(uint64_t id) { return store_.Get(id); }

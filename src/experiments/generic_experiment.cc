@@ -662,7 +662,7 @@ Result<RunResult> RunChurn(const ExperimentConfig& config,
   const bool learns_frequencies = FrequencyAware(selector);
   overlay::RouteResult route;
   std::function<void()> query_event = [&] {
-    std::vector<uint64_t> live = net.LiveNodeIds();
+    const std::span<const uint64_t> live = net.LiveIdsView();
     if (!live.empty()) {
       const uint64_t origin =
           live[static_cast<size_t>(origin_rng.UniformU64(live.size()))];
